@@ -23,13 +23,15 @@
 //! [`ScheduleTrace`] for the replay-based
 //! protocol comparison.
 
+mod chains;
 mod family;
 
+pub use chains::FinalChains;
 pub use family::FamilyOp;
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use lotec_mem::{ObjectId, PageData, PageId, PageIndex, Recovery, ShadowPages, UndoLog};
+use lotec_mem::{ObjectId, PageAtlas, PageData, PageId, PageIndex, Recovery, ShadowPages, UndoLog};
 use lotec_mem::{PageStore, Version};
 use lotec_net::{plan_delivery, Message, MessageKind, TrafficLedger};
 use lotec_object::{AdaptivePredictor, ObjectRegistry, PageSet};
@@ -78,12 +80,27 @@ pub struct RunReport {
     pub committed: Vec<CommittedFamily>,
     /// Final content chain of every page, read from the page's owner node
     /// (oracle cross-check).
-    pub final_chains: BTreeMap<(ObjectId, PageIndex), u64>,
+    pub final_chains: FinalChains,
     /// Forensics dumps captured at anomalies (deadlock-victim selection,
     /// lock timeouts, crash repair). Empty unless the run's sink carries a
     /// [`FlightRecorder`] — without a black box there is nothing to dump —
     /// and capped at [`MAX_FORENSICS_DUMPS`] per run.
     pub forensics: Vec<ForensicsDump>,
+    /// How much per-object state the run materialised.
+    pub materialised: Materialised,
+}
+
+/// Deterministic work counters: the per-run state an engine run built.
+/// Untouched objects stay implicit, so both counts grow with the objects
+/// the workload touches, not with the registry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Materialised {
+    /// Pages resident in the nodes' stores at the end of the run, summed
+    /// over nodes.
+    pub resident_pages: u64,
+    /// GDO entries built — objects that received at least one lock
+    /// request.
+    pub gdo_entries: u64,
 }
 
 /// Per-run cap on captured forensics dumps: a pathological run (hundreds
@@ -149,7 +166,13 @@ pub struct Engine<'a, S: EventSink = NoopSink, P: HostProfiler = NoopHostProfile
     sim: Simulator<Event>,
     tree: TxnTree,
     table: LockTable,
+    /// Dense page numbering over the object layout, shared by every
+    /// node's store and the report's final chains.
+    atlas: Arc<PageAtlas>,
     stores: Vec<PageStore>,
+    /// Per node, pages of untouched objects homed there: their version-0
+    /// images are implicit until first touch, but count as cached.
+    implicit_home_pages: Vec<u64>,
     /// Shared zero-filled payload handed out for never-written pages —
     /// cloning it is a refcount bump, not a fresh allocation.
     zero_page: PageData,
@@ -208,21 +231,11 @@ impl PlacementView for EngineView<'_> {
     }
 
     fn global_version(&self, object: ObjectId, page: PageIndex) -> Version {
-        self.table
-            .entry(object)
-            .expect("registered object")
-            .page_map()
-            .location(page)
-            .version
+        self.table.page_location(object, page).version
     }
 
     fn page_owner(&self, object: ObjectId, page: PageIndex) -> NodeId {
-        self.table
-            .entry(object)
-            .expect("registered object")
-            .page_map()
-            .location(page)
-            .node
+        self.table.page_location(object, page).node
     }
 
     fn last_holder(&self, object: ObjectId) -> NodeId {
@@ -312,25 +325,23 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             table.enable_graph_validation();
         }
         // One dense page numbering over the fixed object layout, shared by
-        // every node's store: page state lives in flat slot-indexed Vecs.
-        let atlas = std::sync::Arc::new(registry.page_atlas());
-        let mut stores: Vec<PageStore> = (0..config.num_nodes)
-            .map(|_| {
-                PageStore::with_atlas(config.page_size as usize, std::sync::Arc::clone(&atlas))
-            })
+        // every node's store: a page lookup is an array index, and a store
+        // holds only the pages it caches.
+        let atlas = Arc::new(registry.page_atlas());
+        let stores: Vec<PageStore> = (0..config.num_nodes)
+            .map(|_| PageStore::with_atlas(config.page_size as usize, Arc::clone(&atlas)))
             .collect();
+        // Registration records a compact row per object. Each object's
+        // initial state (version-0 images at its home) stays implicit
+        // until its first lock request (`touch_object`).
         let mut last_holder = Vec::with_capacity(registry.num_objects());
+        let mut implicit_home_pages = vec![0u64; config.num_nodes as usize];
         for inst in registry.objects() {
             let num_pages = registry.num_pages(inst.id);
             table.register_object(inst.id, num_pages, inst.home);
             debug_assert_eq!(last_holder.len(), inst.id.index() as usize);
             last_holder.push(inst.home);
-            // Materialize the initial (version 0, zero-filled) image at the
-            // object's home so first transfers have a source.
-            let home_store = &mut stores[inst.home.index() as usize];
-            for p in 0..num_pages {
-                home_store.ensure(PageId::new(inst.id, p));
-            }
+            implicit_home_pages[inst.home.index() as usize] += u64::from(num_pages);
         }
         let recovery: Box<dyn Recovery> = match config.recovery {
             RecoveryKind::UndoLog => Box::new(UndoLog::new()),
@@ -361,7 +372,9 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             sim,
             tree: TxnTree::new(),
             table,
+            atlas,
             stores,
+            implicit_home_pages,
             zero_page: PageData::zeroed(config.page_size as usize),
             recovery,
             families,
@@ -416,6 +429,10 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         self.finish_phase_stats();
         self.stats.sim_events = self.sim.delivered();
         let final_chains = self.collect_final_chains();
+        let materialised = Materialised {
+            resident_pages: self.stores.iter().map(|s| s.len() as u64).sum(),
+            gdo_entries: self.table.materialised() as u64,
+        };
         self.prof.exit(HostRegion::Report);
         Ok(RunReport {
             protocol: self.config.protocol,
@@ -425,6 +442,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             committed: self.committed,
             final_chains,
             forensics: self.forensics,
+            materialised,
         })
     }
 
@@ -498,7 +516,13 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     _ => {}
                 }
             }
-            let cache_bytes: Vec<u64> = self.stores.iter().map(PageStore::cached_bytes).collect();
+            let page_size = u64::from(self.config.page_size);
+            let cache_bytes: Vec<u64> = self
+                .stores
+                .iter()
+                .zip(&self.implicit_home_pages)
+                .map(|(store, &implicit)| store.cached_bytes() + implicit * page_size)
+                .collect();
             self.sink.emit(ObsEvent {
                 at,
                 node: 0,
@@ -789,6 +813,21 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         self.request_lock(now, fam)
     }
 
+    /// First touch of `object`: materialises its GDO entry and the
+    /// version-0 images at its home that stood in implicitly until now, so
+    /// first transfers have a source.
+    fn touch_object(&mut self, object: ObjectId) -> Result<(), CoreError> {
+        if self.table.touch(object)? {
+            let home = self.registry.object(object).home.index() as usize;
+            let slots = self.atlas.object_slots(object);
+            self.implicit_home_pages[home] -= slots.len() as u64;
+            for slot in slots {
+                self.stores[home].ensure(self.atlas.page_id(slot));
+            }
+        }
+        Ok(())
+    }
+
     fn request_lock(&mut self, now: SimTime, fam: usize) -> Result<(), CoreError> {
         let (txn, object, method) = {
             let top = self.families[fam].top();
@@ -801,6 +840,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             LockMode::Write
         };
         self.prof.enter(HostRegion::LockAcquire);
+        self.touch_object(object)?;
         let outcome = self
             .table
             .acquire_probed(object, txn, mode, &self.tree, now, &mut self.sink);
@@ -1262,12 +1302,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// taken from its owner's store (the shared zero page if it was never
     /// written anywhere). A refcount bump, not a byte copy.
     fn current_page_copy(&self, object: ObjectId, page: PageIndex) -> (PageId, Version, PageData) {
-        let loc = self
-            .table
-            .entry(object)
-            .expect("registered object")
-            .page_map()
-            .location(page);
+        let loc = self.table.page_location(object, page);
         let pid = PageId::new(object, page.get());
         match self.stores[loc.node.index() as usize].get(pid) {
             Some(p) => {
@@ -2037,24 +2072,26 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
 
         // Directory repair: repoint owned pages at surviving same-version
         // copies. Read-only scan first, then apply, to keep the borrows
-        // disjoint.
-        let registry = self.registry;
+        // disjoint. Only touched objects need it: an untouched object's
+        // only copy is its home image, which no other node holds and no
+        // crash evicts.
         let config = self.config;
+        let touched = self.table.touched_objects();
         let mut repairs: Vec<(ObjectId, PageIndex, NodeId)> = Vec::new();
-        for inst in registry.objects() {
-            let entry = self.table.entry(inst.id).expect("registered");
+        for &object in &touched {
+            let entry = self.table.entry(object).expect("touched");
             for (page, loc) in entry.page_map().entries() {
                 if loc.node != node {
                     continue;
                 }
-                let pid = PageId::new(inst.id, page.get());
+                let pid = PageId::new(object, page.get());
                 let survivor = (0..config.num_nodes).map(NodeId::new).find(|&s| {
                     s != node
                         && !config.faults.plan.is_down(s, now)
                         && self.stores[s.index() as usize].version_of(pid) == Some(loc.version)
                 });
                 if let Some(s) = survivor {
-                    repairs.push((inst.id, page, s));
+                    repairs.push((object, page, s));
                 }
             }
         }
@@ -2079,28 +2116,19 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         }
 
         // Cold caches: evict every page the node no longer owns and fix
-        // the caching-site sets.
-        for inst in registry.objects() {
+        // the caching-site sets. Untouched objects have no cached copies
+        // to evict, and their home stays their only caching site.
+        for &object in &touched {
             let mut still_owner = false;
-            for p in 0..registry.num_pages(inst.id) {
-                let owner = self
-                    .table
-                    .entry(inst.id)
-                    .expect("registered")
-                    .page_map()
-                    .location(PageIndex::new(p))
-                    .node;
-                if owner == node {
+            let entry = self.table.entry_mut(object).expect("touched");
+            for (page, loc) in entry.page_map().entries() {
+                if loc.node == node {
                     still_owner = true;
                 } else {
-                    self.stores[node.index() as usize].evict(PageId::new(inst.id, p));
+                    self.stores[node.index() as usize].evict(PageId::new(object, page.get()));
                 }
             }
-            let map = self
-                .table
-                .entry_mut(inst.id)
-                .expect("registered")
-                .page_map_mut();
+            let map = entry.page_map_mut();
             map.forget_caching_site(node);
             if still_owner {
                 // Stable storage still holds pages the directory could not
@@ -2149,14 +2177,18 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
 
     // ---- reporting ----------------------------------------------------
 
-    fn collect_final_chains(&self) -> BTreeMap<(ObjectId, PageIndex), u64> {
-        let mut out = BTreeMap::new();
-        for inst in self.registry.objects() {
-            let entry = self.table.entry(inst.id).expect("registered");
+    /// The final chain of every page, read from its owner. Untouched
+    /// objects keep the all-zero chains [`FinalChains::new`] starts from.
+    fn collect_final_chains(&self) -> FinalChains {
+        let mut out = FinalChains::new(Arc::clone(&self.atlas));
+        for object in self.table.touched_objects() {
+            let entry = self.table.entry(object).expect("touched");
             for (page, loc) in entry.page_map().entries() {
-                let chain =
-                    self.stores[loc.node.index() as usize].chain(PageId::new(inst.id, page.get()));
-                out.insert((inst.id, page), chain);
+                let pid = PageId::new(object, page.get());
+                out.set(
+                    self.atlas.slot(pid),
+                    self.stores[loc.node.index() as usize].chain(pid),
+                );
             }
         }
         out

@@ -19,7 +19,7 @@
 //! 2. the final model heap equals the newest page copies in the live run
 //!    (no lost updates).
 
-use lotec_mem::{mix, ObjectId, PageAtlas, PageId, PageIndex};
+use lotec_mem::{mix, ObjectId, PageIndex};
 
 use crate::engine::{FamilyOp, RunReport};
 use crate::error::CoreError;
@@ -31,32 +31,17 @@ use crate::error::CoreError;
 ///
 /// Returns [`CoreError::OracleViolation`] describing the first divergence.
 pub fn verify(report: &RunReport) -> Result<(), CoreError> {
-    // Two passes: first size a dense page numbering from the touched
-    // pages, then replay against a flat model heap — the replay's inner
-    // loop indexes an array instead of walking an ordered map.
-    let mut pages_per_object: Vec<u16> = Vec::new();
-    {
-        let mut note = |object: ObjectId, page: PageIndex| {
-            let o = object.index() as usize;
-            if o >= pages_per_object.len() {
-                pages_per_object.resize(o + 1, 0);
-            }
-            pages_per_object[o] = pages_per_object[o].max(page.get() + 1);
-        };
-        for fam in &report.committed {
-            for op in &fam.ops {
-                match *op {
-                    FamilyOp::Read { object, page, .. } | FamilyOp::Write { object, page, .. } => {
-                        note(object, page);
-                    }
-                }
-            }
-        }
-        for &(object, page) in report.final_chains.keys() {
-            note(object, page);
-        }
-    }
-    let atlas = PageAtlas::new(&pages_per_object);
+    // Replay against a flat model heap laid out over the report's own page
+    // numbering: the inner loop indexes an array instead of walking an
+    // ordered map.
+    let atlas = report.final_chains.atlas();
+    let slot_of = |fam: u64, object: ObjectId, page: PageIndex| {
+        atlas.try_slot(object, page).ok_or_else(|| {
+            CoreError::OracleViolation(format!(
+                "family {fam} accessed {object}/{page}, outside the object layout"
+            ))
+        })
+    };
     let mut model = vec![0u64; atlas.total_pages()];
 
     for fam in &report.committed {
@@ -67,7 +52,7 @@ pub fn verify(report: &RunReport) -> Result<(), CoreError> {
                     page,
                     chain,
                 } => {
-                    let expected = model[atlas.slot(PageId::new(object, page.get()))];
+                    let expected = model[slot_of(fam.family, object, page)?];
                     if chain != expected {
                         return Err(CoreError::OracleViolation(format!(
                             "family {} read {}/{} = {chain:#x}, serial order expects {expected:#x}",
@@ -80,20 +65,20 @@ pub fn verify(report: &RunReport) -> Result<(), CoreError> {
                     page,
                     stamp,
                 } => {
-                    let entry = &mut model[atlas.slot(PageId::new(object, page.get()))];
+                    let entry = &mut model[slot_of(fam.family, object, page)?];
                     *entry = mix(*entry, stamp);
                 }
             }
         }
     }
 
-    for (&(object, page), &final_chain) in &report.final_chains {
-        let expected = model[atlas.slot(PageId::new(object, page.get()))];
-        if final_chain != expected {
-            return Err(CoreError::OracleViolation(format!(
-                "final state of {object}/{page} is {final_chain:#x}, serial replay gives {expected:#x}"
-            )));
-        }
+    let finals = report.final_chains.as_slice();
+    if let Some(slot) = (0..finals.len()).find(|&s| finals[s] != model[s]) {
+        let (object, page) = atlas.keys()[slot];
+        return Err(CoreError::OracleViolation(format!(
+            "final state of {object}/{page} is {:#x}, serial replay gives {:#x}",
+            finals[slot], model[slot]
+        )));
     }
     Ok(())
 }
@@ -101,24 +86,42 @@ pub fn verify(report: &RunReport) -> Result<(), CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::CommittedFamily;
+    use std::sync::Arc;
+
+    use crate::engine::{CommittedFamily, FinalChains};
     use crate::metrics::{ProtocolTraffic, RunStats};
     use crate::protocol::ProtocolKind;
     use crate::trace::ScheduleTrace;
+    use lotec_mem::PageAtlas;
     use lotec_net::TrafficLedger;
 
+    /// A report over a layout of one four-page object per id up to the
+    /// largest one used; pages not listed in `finals` end at chain 0.
     fn report(committed: Vec<CommittedFamily>, finals: Vec<((u32, u16), u64)>) -> RunReport {
+        let objects = committed
+            .iter()
+            .flat_map(|f| &f.ops)
+            .map(|op| match *op {
+                FamilyOp::Read { object, .. } | FamilyOp::Write { object, .. } => object.index(),
+            })
+            .chain(finals.iter().map(|&((o, _), _)| o))
+            .max()
+            .map_or(0, |o| o + 1);
+        let mut final_chains = FinalChains::new(Arc::new(PageAtlas::uniform(objects, 4)));
+        for ((o, p), c) in finals {
+            *final_chains
+                .get_mut(&(ObjectId::new(o), PageIndex::new(p)))
+                .expect("page inside the test layout") = c;
+        }
         RunReport {
             protocol: ProtocolKind::Lotec,
             stats: RunStats::default(),
             trace: ScheduleTrace::new(),
             traffic: ProtocolTraffic::new(TrafficLedger::new()),
             committed,
-            final_chains: finals
-                .into_iter()
-                .map(|((o, p), c)| ((ObjectId::new(o), PageIndex::new(p)), c))
-                .collect(),
+            final_chains,
             forensics: Vec::new(),
+            materialised: Default::default(),
         }
     }
 
@@ -202,6 +205,18 @@ mod tests {
             ops: vec![w(0, 0, 5), r(0, 0, c1)],
         }];
         verify(&report(committed, vec![((0, 0), c1)])).unwrap();
+    }
+
+    #[test]
+    fn access_outside_layout_detected() {
+        let mut bad = report(vec![], vec![((0, 0), 0)]);
+        bad.committed.push(CommittedFamily {
+            family: 1,
+            index: 0,
+            ops: vec![w(3, 0, 7)],
+        });
+        let err = verify(&bad).unwrap_err();
+        assert!(err.to_string().contains("outside the object layout"));
     }
 
     #[test]

@@ -7,25 +7,54 @@
 //! placement because partial transfers (LOTEC) leave different nodes with
 //! different staleness than full transfers (COTEC/OTEC) or eager pushes
 //! (RC).
+//!
+//! Like the engine, the model pays only for the objects the trace touches:
+//! an object is one compact row (protocol, page count, home) until its
+//! first trace event materialises its placement state. Until then every
+//! query about it is answered from the row — every page at version 0 at
+//! its home ([`PageLocation::initial`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use lotec_mem::{ObjectId, PageIndex, Version};
+use lotec_mem::{ObjectId, PageIndex, PageLocation, TouchedSlots, Version};
 use lotec_object::{ObjectRegistry, PageSet};
 use lotec_sim::NodeId;
 
 use crate::protocol::{plan_transfer, PlacementView, ProtocolKind, TransferPlan};
 
-#[derive(Debug, Clone)]
-struct ObjectPlacement {
+/// What the model records about every object up front.
+#[derive(Debug, Clone, Copy)]
+struct ObjectRow {
     kind: ProtocolKind,
     num_pages: u16,
+    home: NodeId,
+}
+
+/// The evolving placement of one touched object.
+#[derive(Debug, Clone)]
+struct ObjectPlacement {
     last_holder: NodeId,
     global: Vec<Version>,
     owner: Vec<NodeId>,
     caching: BTreeSet<NodeId>,
     /// node -> per-page cached version (`None` = no copy).
     local: BTreeMap<NodeId, Vec<Option<Version>>>,
+}
+
+impl ObjectPlacement {
+    /// The initial placement [`ObjectRow`] stands for: the object whole,
+    /// at version 0, at its home.
+    fn initial(row: ObjectRow) -> Self {
+        let np = row.num_pages as usize;
+        let at_home = PageLocation::initial(row.home);
+        ObjectPlacement {
+            last_holder: row.home,
+            global: vec![at_home.version; np],
+            owner: vec![at_home.node; np],
+            caching: BTreeSet::from([row.home]),
+            local: BTreeMap::from([(row.home, vec![Some(at_home.version); np])]),
+        }
+    }
 }
 
 /// The pages pushed at a commit under RC: `(destination, pages)` pairs.
@@ -46,7 +75,9 @@ impl PushPlan {
 #[derive(Debug, Clone)]
 pub struct PlacementModel {
     kind: ProtocolKind,
-    objects: Vec<ObjectPlacement>,
+    rows: Vec<ObjectRow>,
+    /// Placement of the objects the trace has touched, by object id.
+    objects: TouchedSlots<ObjectPlacement>,
 }
 
 impl PlacementModel {
@@ -65,27 +96,18 @@ impl PlacementModel {
         registry: &ObjectRegistry,
         protocol_of: impl Fn(lotec_object::ClassId) -> ProtocolKind,
     ) -> Self {
-        let objects = registry
+        let rows: Vec<ObjectRow> = registry
             .objects()
-            .map(|inst| {
-                let num_pages = registry.num_pages(inst.id);
-                ObjectPlacement {
-                    kind: protocol_of(inst.class),
-                    num_pages,
-                    last_holder: inst.home,
-                    global: vec![Version::INITIAL; num_pages as usize],
-                    owner: vec![inst.home; num_pages as usize],
-                    caching: BTreeSet::from([inst.home]),
-                    local: BTreeMap::from([(
-                        inst.home,
-                        vec![Some(Version::INITIAL); num_pages as usize],
-                    )]),
-                }
+            .map(|inst| ObjectRow {
+                kind: protocol_of(inst.class),
+                num_pages: registry.num_pages(inst.id),
+                home: inst.home,
             })
             .collect();
         PlacementModel {
             kind: default,
-            objects,
+            objects: TouchedSlots::new(rows.len()),
+            rows,
         }
     }
 
@@ -101,15 +123,28 @@ impl PlacementModel {
     ///
     /// Panics if `object` is out of range.
     pub fn kind_of(&self, object: ObjectId) -> ProtocolKind {
-        self.obj(object).kind
+        self.row(object).kind
     }
 
-    fn obj(&self, object: ObjectId) -> &ObjectPlacement {
-        &self.objects[object.index() as usize]
+    /// Number of objects whose placement state has been materialised.
+    pub fn materialised(&self) -> usize {
+        self.objects.len()
     }
 
+    fn row(&self, object: ObjectId) -> ObjectRow {
+        self.rows[object.index() as usize]
+    }
+
+    /// The object's placement, if a trace event has touched it.
+    fn obj(&self, object: ObjectId) -> Option<&ObjectPlacement> {
+        self.objects.get(object.index() as usize)
+    }
+
+    /// The object's placement, materialised on first touch.
     fn obj_mut(&mut self, object: ObjectId) -> &mut ObjectPlacement {
-        &mut self.objects[object.index() as usize]
+        let row = self.row(object);
+        self.objects
+            .get_or_insert_with(object.index() as usize, || ObjectPlacement::initial(row))
     }
 
     /// Advances the model over a lock grant: plans the transfer the
@@ -119,7 +154,7 @@ impl PlacementModel {
     ///
     /// Returns the plan so the caller can charge messages and bytes.
     pub fn on_grant(&mut self, node: NodeId, object: ObjectId, prefetch: &PageSet) -> TransferPlan {
-        let kind = self.obj(object).kind;
+        let kind = self.kind_of(object);
         let plan = plan_transfer(kind, &*self, node, object, prefetch);
         self.apply_fetch(node, object, &plan);
         // Under COTEC/OTEC the acquirer also demand-zeroes any never-written
@@ -136,7 +171,7 @@ impl PlacementModel {
                 // prefetch set) become current; apply_fetch already recorded
                 // the fetched ones. Materialize demand-zero copies for
                 // prefetched v0 pages the node lacks.
-                let np = o.num_pages as usize;
+                let np = o.global.len();
                 let entry = o.local.entry(node).or_insert_with(|| vec![None; np]);
                 for page in prefetch.iter() {
                     let idx = page.get() as usize;
@@ -163,21 +198,18 @@ impl PlacementModel {
         object: ObjectId,
         page: PageIndex,
     ) -> Option<NodeId> {
-        let o = self.obj(object);
         let idx = page.get() as usize;
-        let global = o.global[idx];
-        let local = o
-            .local
-            .get(&node)
-            .and_then(|v| v[idx])
+        let global = self.global_version(object, page);
+        let local = self
+            .local_version(node, object, page)
             .unwrap_or(Version::INITIAL);
         if !global.is_newer_than(local) {
             return None;
         }
-        let source = o.owner[idx];
+        let source = self.page_owner(object, page);
         debug_assert_ne!(source, node, "owner cannot be stale at itself");
         let o = self.obj_mut(object);
-        let np = o.num_pages as usize;
+        let np = o.global.len();
         o.local.entry(node).or_insert_with(|| vec![None; np])[idx] = Some(global);
         Some(source)
     }
@@ -188,7 +220,7 @@ impl PlacementModel {
             .flat_map(|(_, pages)| pages.iter().copied())
             .collect();
         let o = self.obj_mut(object);
-        let np = o.num_pages as usize;
+        let np = o.global.len();
         let globals = o.global.clone();
         let entry = o.local.entry(node).or_insert_with(|| vec![None; np]);
         for page in pages {
@@ -202,10 +234,10 @@ impl PlacementModel {
     /// under RC also computes the eager pushes to every other caching
     /// site and applies them.
     pub fn on_commit(&mut self, node: NodeId, object: ObjectId, dirty: &[PageIndex]) -> PushPlan {
+        let kind = self.kind_of(object);
         let o = self.obj_mut(object);
-        let kind = o.kind;
         debug_assert!(o.caching.contains(&node), "committer must cache the object");
-        let np = o.num_pages as usize;
+        let np = o.global.len();
         for &page in dirty {
             let idx = page.get() as usize;
             o.global[idx] = o.global[idx].next();
@@ -241,7 +273,7 @@ impl PlacementModel {
     /// Checks internal coherence: owners hold what the map claims; local
     /// versions never exceed the global version. Used by tests.
     pub fn check_coherence(&self) -> Result<(), String> {
-        for (i, o) in self.objects.iter().enumerate() {
+        for (i, o) in self.objects.iter() {
             for (idx, (&global, &owner)) in o.global.iter().zip(&o.owner).enumerate() {
                 let at_owner = o
                     .local
@@ -270,26 +302,36 @@ impl PlacementModel {
 
 impl PlacementView for PlacementModel {
     fn local_version(&self, node: NodeId, object: ObjectId, page: PageIndex) -> Option<Version> {
-        self.obj(object)
-            .local
-            .get(&node)
-            .and_then(|v| v[page.get() as usize])
+        match self.obj(object) {
+            Some(o) => o.local.get(&node).and_then(|v| v[page.get() as usize]),
+            None => {
+                let at_home = PageLocation::initial(self.row(object).home);
+                (node == at_home.node).then_some(at_home.version)
+            }
+        }
     }
 
     fn global_version(&self, object: ObjectId, page: PageIndex) -> Version {
-        self.obj(object).global[page.get() as usize]
+        match self.obj(object) {
+            Some(o) => o.global[page.get() as usize],
+            None => PageLocation::initial(self.row(object).home).version,
+        }
     }
 
     fn page_owner(&self, object: ObjectId, page: PageIndex) -> NodeId {
-        self.obj(object).owner[page.get() as usize]
+        match self.obj(object) {
+            Some(o) => o.owner[page.get() as usize],
+            None => PageLocation::initial(self.row(object).home).node,
+        }
     }
 
     fn last_holder(&self, object: ObjectId) -> NodeId {
-        self.obj(object).last_holder
+        self.obj(object)
+            .map_or(self.row(object).home, |o| o.last_holder)
     }
 
     fn num_pages(&self, object: ObjectId) -> u16 {
-        self.obj(object).num_pages
+        self.row(object).num_pages
     }
 }
 

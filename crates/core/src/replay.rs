@@ -40,8 +40,12 @@ pub fn replay_trace(
     registry: &ObjectRegistry,
     config: &SystemConfig,
 ) -> ProtocolTraffic {
-    let model = PlacementModel::new(kind, registry);
-    replay_with_model(model, trace, registry, config)
+    replay_model(
+        &mut PlacementModel::new(kind, registry),
+        trace,
+        registry,
+        config,
+    )
 }
 
 /// Replays `trace` under `config`'s own protocol assignment — the default
@@ -52,14 +56,17 @@ pub fn replay_run(
     registry: &ObjectRegistry,
     config: &SystemConfig,
 ) -> ProtocolTraffic {
-    let model = PlacementModel::with_assignment(config.protocol, registry, |class| {
+    let mut model = PlacementModel::with_assignment(config.protocol, registry, |class| {
         config.protocol_for(class)
     });
-    replay_with_model(model, trace, registry, config)
+    replay_model(&mut model, trace, registry, config)
 }
 
-fn replay_with_model(
-    mut model: PlacementModel,
+/// Replays `trace` through `model`, advancing it and returning the traffic
+/// its protocol assignment would generate. The model stays readable
+/// afterwards (e.g. [`PlacementModel::materialised`]).
+pub fn replay_model(
+    model: &mut PlacementModel,
     trace: &ScheduleTrace,
     registry: &ObjectRegistry,
     config: &SystemConfig,

@@ -13,7 +13,7 @@
 //! pages in exactly the order the ordered maps did — determinism-neutral
 //! by construction.
 
-use crate::ids::{ObjectId, PageId};
+use crate::ids::{ObjectId, PageId, PageIndex};
 
 /// Immutable mapping between [`PageId`]s and dense global slot numbers.
 ///
@@ -25,8 +25,9 @@ pub struct PageAtlas {
     /// `bases[o]` = slot of page 0 of object `o`; one trailing entry holds
     /// the total page count so `num_pages` is a subtraction.
     bases: Vec<usize>,
-    /// Slot → id, precomputed so reverse lookups are a single index.
-    page_ids: Vec<PageId>,
+    /// Slot → `(object, page)` key, precomputed so reverse lookups are a
+    /// single index and slot-indexed tables can hand out key references.
+    keys: Vec<(ObjectId, PageIndex)>,
 }
 
 impl PageAtlas {
@@ -40,13 +41,13 @@ impl PageAtlas {
             total += usize::from(n);
         }
         bases.push(total);
-        let mut page_ids = Vec::with_capacity(total);
+        let mut keys = Vec::with_capacity(total);
         for (o, &n) in pages_per_object.iter().enumerate() {
             for p in 0..n {
-                page_ids.push(PageId::new(ObjectId::new(o as u32), p));
+                keys.push((ObjectId::new(o as u32), PageIndex::new(p)));
             }
         }
-        PageAtlas { bases, page_ids }
+        PageAtlas { bases, keys }
     }
 
     /// An atlas of `objects` objects, each spanning `pages` pages.
@@ -61,7 +62,7 @@ impl PageAtlas {
 
     /// Total number of pages across all objects.
     pub fn total_pages(&self) -> usize {
-        self.page_ids.len()
+        self.keys.len()
     }
 
     /// Number of pages of `object`.
@@ -86,9 +87,24 @@ impl PageAtlas {
         slot
     }
 
+    /// The slot of page `page` of `object`, or `None` if the page lies
+    /// outside the layout.
+    pub fn try_slot(&self, object: ObjectId, page: PageIndex) -> Option<usize> {
+        let o = object.index() as usize;
+        let (start, end) = (*self.bases.get(o)?, *self.bases.get(o + 1)?);
+        let slot = start + usize::from(page.get());
+        (slot < end).then_some(slot)
+    }
+
     /// The page stored at `slot` (inverse of [`PageAtlas::slot`]).
     pub fn page_id(&self, slot: usize) -> PageId {
-        self.page_ids[slot]
+        let (object, page) = self.keys[slot];
+        PageId::new(object, page.get())
+    }
+
+    /// Every page's `(object, page)` key, in slot order.
+    pub fn keys(&self) -> &[(ObjectId, PageIndex)] {
+        &self.keys
     }
 
     /// The contiguous slot range spanned by `object`'s pages.
@@ -133,6 +149,16 @@ mod tests {
         assert_eq!(atlas.total_pages(), 24);
         assert_eq!(atlas.num_pages(ObjectId::new(3)), 6);
         assert_eq!(atlas.slot(PageId::new(ObjectId::new(3), 5)), 23);
+    }
+
+    #[test]
+    fn try_slot_rejects_pages_outside_the_layout() {
+        let atlas = PageAtlas::new(&[2, 3]);
+        let key = |o, p| (ObjectId::new(o), PageIndex::new(p));
+        assert_eq!(atlas.try_slot(ObjectId::new(1), PageIndex::new(2)), Some(4));
+        assert_eq!(atlas.try_slot(ObjectId::new(0), PageIndex::new(2)), None);
+        assert_eq!(atlas.try_slot(ObjectId::new(2), PageIndex::new(0)), None);
+        assert_eq!(atlas.keys()[4], key(1, 2));
     }
 
     #[test]

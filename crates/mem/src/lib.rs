@@ -8,6 +8,9 @@
 //! * [`ObjectId`], [`PageIndex`], [`PageId`], [`Version`] — identities,
 //! * [`Page`] — a versioned page payload,
 //! * [`PageStore`] — one node's local page cache with dirty tracking,
+//! * [`PageAtlas`] / [`TouchedSlots`] — dense page numbering over a fixed
+//!   object layout, and per-key state kept only for the keys a run
+//!   touches,
 //! * [`UndoLog`] / [`ShadowPages`] — the two recovery mechanisms the paper
 //!   names for sub-transaction UNDO (both purely local, no network),
 //! * [`PageMap`] — the GDO-side map from each page of an object to the node
@@ -35,6 +38,7 @@ pub mod ids;
 pub mod page;
 pub mod pagemap;
 pub mod store;
+pub mod touched;
 pub mod undo;
 
 pub use atlas::PageAtlas;
@@ -42,4 +46,5 @@ pub use ids::{ObjectId, PageId, PageIndex, Version};
 pub use page::{mix, Page, PageData};
 pub use pagemap::{PageLocation, PageMap};
 pub use store::PageStore;
+pub use touched::TouchedSlots;
 pub use undo::{Recovery, ShadowPages, UndoLog};

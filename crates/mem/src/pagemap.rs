@@ -24,6 +24,19 @@ pub struct PageLocation {
     pub version: Version,
 }
 
+impl PageLocation {
+    /// Where every page of an untouched object lives: its version-0 image
+    /// at the object's `home`. This is the one definition of an untouched
+    /// object's state; tables that materialise per-object state on first
+    /// touch answer for untouched objects from it.
+    pub fn initial(home: NodeId) -> Self {
+        PageLocation {
+            node: home,
+            version: Version::INITIAL,
+        }
+    }
+}
+
 /// Per-object map: page index → newest location, plus the set of sites
 /// holding (possibly stale) cached copies of the object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,13 +56,7 @@ impl PageMap {
     pub fn new(num_pages: u16, home: NodeId) -> Self {
         assert!(num_pages > 0, "object must span at least one page");
         PageMap {
-            locations: vec![
-                PageLocation {
-                    node: home,
-                    version: Version::INITIAL
-                };
-                num_pages as usize
-            ],
+            locations: vec![PageLocation::initial(home); num_pages as usize],
             caching_sites: BTreeSet::from([home]),
         }
     }

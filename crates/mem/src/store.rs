@@ -6,6 +6,7 @@ use std::sync::Arc;
 use crate::atlas::PageAtlas;
 use crate::ids::{ObjectId, PageId, Version};
 use crate::page::{Page, PageData};
+use crate::touched::TouchedSlots;
 
 /// The local page cache of a single node.
 ///
@@ -14,12 +15,14 @@ use crate::page::{Page, PageData};
 /// piggybacked on global lock releases to update the GDO page map.
 ///
 /// Two storage layouts sit behind one API. A store built with
-/// [`PageStore::new`] keeps ordered maps (any [`PageId`] goes). A store
-/// built with [`PageStore::with_atlas`] — what the engine uses — keeps flat
-/// `Vec`s indexed by the atlas's dense global page numbering, so every
-/// lookup on the simulation hot path is an array index instead of a tree
-/// walk. Slot order equals `PageId` order, so iteration — and therefore
-/// the simulation — is deterministic in both layouts.
+/// [`PageStore::new`] keeps ordered maps (any [`PageId`] goes); it is the
+/// reference the atlas layout is tested against. A store built with
+/// [`PageStore::with_atlas`] — what the engine uses — keeps only the pages
+/// it caches, in a [`TouchedSlots`] keyed by the atlas's dense global page
+/// numbering: every lookup on the simulation hot path is an array index,
+/// and memory grows with the pages the node caches, not with the object
+/// space. Observable iteration (dirty pages) is in `PageId` order in both
+/// layouts, so the simulation is deterministic either way.
 #[derive(Debug, Clone)]
 pub struct PageStore {
     page_size: usize,
@@ -33,14 +36,24 @@ enum Slots {
         pages: BTreeMap<PageId, Page>,
         dirty: BTreeSet<PageId>,
     },
-    /// Flat layout over a fixed object layout; `cached` counts `Some`
-    /// entries so `len` stays O(1).
-    Dense {
+    /// Cached pages of a fixed object layout, keyed by atlas slot.
+    Atlas {
         atlas: Arc<PageAtlas>,
-        pages: Vec<Option<Page>>,
-        dirty: Vec<bool>,
-        cached: usize,
+        pages: TouchedSlots<Cached>,
     },
+}
+
+/// One cached page of the atlas layout with its dirty bit.
+#[derive(Debug, Clone)]
+struct Cached {
+    page: Page,
+    dirty: bool,
+}
+
+impl Cached {
+    fn clean(page: Page) -> Self {
+        Cached { page, dirty: false }
+    }
 }
 
 /// Iterator over a store's dirty pages, in `PageId` order.
@@ -52,10 +65,7 @@ pub struct DirtyPages<'a> {
 #[derive(Debug)]
 enum DirtyInner<'a> {
     Sparse(std::collections::btree_set::Iter<'a, PageId>),
-    Dense {
-        atlas: &'a PageAtlas,
-        flags: std::iter::Enumerate<std::slice::Iter<'a, bool>>,
-    },
+    Atlas(std::vec::IntoIter<PageId>),
 }
 
 impl Iterator for DirtyPages<'_> {
@@ -64,14 +74,7 @@ impl Iterator for DirtyPages<'_> {
     fn next(&mut self) -> Option<PageId> {
         match &mut self.inner {
             DirtyInner::Sparse(it) => it.next().copied(),
-            DirtyInner::Dense { atlas, flags } => {
-                for (slot, &dirty) in flags.by_ref() {
-                    if dirty {
-                        return Some(atlas.page_id(slot));
-                    }
-                }
-                None
-            }
+            DirtyInner::Atlas(it) => it.next(),
         }
     }
 }
@@ -94,24 +97,19 @@ impl PageStore {
         }
     }
 
-    /// Creates an empty store laid out densely over `atlas` — every page
-    /// operation is an array index. Only pages inside the atlas's layout
-    /// may be touched.
+    /// Creates an empty store over `atlas`'s object layout — every page
+    /// operation is an array index, and only cached pages take memory.
+    /// Only pages inside the atlas's layout may be touched.
     ///
     /// # Panics
     ///
     /// Panics if `page_size < 8`.
     pub fn with_atlas(page_size: usize, atlas: Arc<PageAtlas>) -> Self {
         assert!(page_size >= 8, "page size must be at least 8 bytes");
-        let total = atlas.total_pages();
+        let pages = TouchedSlots::new(atlas.total_pages());
         PageStore {
             page_size,
-            slots: Slots::Dense {
-                atlas,
-                pages: vec![None; total],
-                dirty: vec![false; total],
-                cached: 0,
-            },
+            slots: Slots::Atlas { atlas, pages },
         }
     }
 
@@ -124,7 +122,7 @@ impl PageStore {
     pub fn len(&self) -> usize {
         match &self.slots {
             Slots::Sparse { pages, .. } => pages.len(),
-            Slots::Dense { cached, .. } => *cached,
+            Slots::Atlas { pages, .. } => pages.len(),
         }
     }
 
@@ -144,7 +142,7 @@ impl PageStore {
     pub fn contains(&self, page: PageId) -> bool {
         match &self.slots {
             Slots::Sparse { pages, .. } => pages.contains_key(&page),
-            Slots::Dense { atlas, pages, .. } => pages[atlas.slot(page)].is_some(),
+            Slots::Atlas { atlas, pages } => pages.contains(atlas.slot(page)),
         }
     }
 
@@ -157,7 +155,7 @@ impl PageStore {
     pub fn get(&self, page: PageId) -> Option<&Page> {
         match &self.slots {
             Slots::Sparse { pages, .. } => pages.get(&page),
-            Slots::Dense { atlas, pages, .. } => pages[atlas.slot(page)].as_ref(),
+            Slots::Atlas { atlas, pages } => pages.get(atlas.slot(page)).map(|c| &c.page),
         }
     }
 
@@ -177,18 +175,8 @@ impl PageStore {
                 pages.insert(page, installed);
                 dirty.remove(&page);
             }
-            Slots::Dense {
-                atlas,
-                pages,
-                dirty,
-                cached,
-            } => {
-                let slot = atlas.slot(page);
-                if pages[slot].is_none() {
-                    *cached += 1;
-                }
-                pages[slot] = Some(installed);
-                dirty[slot] = false;
+            Slots::Atlas { atlas, pages } => {
+                pages.insert(atlas.slot(page), Cached::clean(installed));
             }
         }
     }
@@ -196,57 +184,13 @@ impl PageStore {
     /// Ensures `page` exists locally, creating a zeroed
     /// [`Version::INITIAL`] page if absent. Returns its current version.
     pub fn ensure(&mut self, page: PageId) -> Version {
-        let page_size = self.page_size;
-        match &mut self.slots {
-            Slots::Sparse { pages, .. } => pages
-                .entry(page)
-                .or_insert_with(|| Page::zeroed(page_size))
-                .version(),
-            Slots::Dense {
-                atlas,
-                pages,
-                cached,
-                ..
-            } => {
-                let slot = atlas.slot(page);
-                if pages[slot].is_none() {
-                    pages[slot] = Some(Page::zeroed(page_size));
-                    *cached += 1;
-                }
-                pages[slot].as_ref().expect("just ensured").version()
-            }
-        }
+        self.entry(page, false).version()
     }
 
     /// Folds a write `stamp` into `page`'s content chain and marks it
     /// dirty. Creates the page (zeroed) if absent. Returns the new chain.
     pub fn apply_stamp(&mut self, page: PageId, stamp: u64) -> u64 {
-        let page_size = self.page_size;
-        match &mut self.slots {
-            Slots::Sparse { pages, dirty } => {
-                dirty.insert(page);
-                pages
-                    .entry(page)
-                    .or_insert_with(|| Page::zeroed(page_size))
-                    .apply_stamp(stamp)
-            }
-            Slots::Dense {
-                atlas,
-                pages,
-                dirty,
-                cached,
-            } => {
-                // One slot resolution covers the ensure and the stamp.
-                let slot = atlas.slot(page);
-                dirty[slot] = true;
-                pages[slot]
-                    .get_or_insert_with(|| {
-                        *cached += 1;
-                        Page::zeroed(page_size)
-                    })
-                    .apply_stamp(stamp)
-            }
-        }
+        self.entry(page, true).apply_stamp(stamp)
     }
 
     /// Overwrites the payload prefix of `page` and marks it dirty.
@@ -255,21 +199,26 @@ impl PageStore {
     ///
     /// Panics if `bytes` is longer than the page size.
     pub fn write(&mut self, page: PageId, bytes: &[u8]) {
-        self.ensure(page);
+        self.entry(page, true).write(bytes);
+    }
+
+    /// The cached page, created zeroed at [`Version::INITIAL`] if absent;
+    /// `dirty` also sets its dirty bit. One slot resolution covers both.
+    fn entry(&mut self, page: PageId, dirty: bool) -> &mut Page {
+        let page_size = self.page_size;
         match &mut self.slots {
-            Slots::Sparse { pages, dirty } => {
-                dirty.insert(page);
-                pages.get_mut(&page).expect("just ensured").write(bytes);
+            Slots::Sparse { pages, dirty: set } => {
+                if dirty {
+                    set.insert(page);
+                }
+                pages.entry(page).or_insert_with(|| Page::zeroed(page_size))
             }
-            Slots::Dense {
-                atlas,
-                pages,
-                dirty,
-                ..
-            } => {
-                let slot = atlas.slot(page);
-                dirty[slot] = true;
-                pages[slot].as_mut().expect("just ensured").write(bytes);
+            Slots::Atlas { atlas, pages } => {
+                let cached = pages.get_or_insert_with(atlas.slot(page), || {
+                    Cached::clean(Page::zeroed(page_size))
+                });
+                cached.dirty |= dirty;
+                &mut cached.page
             }
         }
     }
@@ -283,7 +232,7 @@ impl PageStore {
     pub fn is_dirty(&self, page: PageId) -> bool {
         match &self.slots {
             Slots::Sparse { dirty, .. } => dirty.contains(&page),
-            Slots::Dense { atlas, dirty, .. } => dirty[atlas.slot(page)],
+            Slots::Atlas { atlas, pages } => pages.get(atlas.slot(page)).is_some_and(|c| c.dirty),
         }
     }
 
@@ -292,10 +241,17 @@ impl PageStore {
         DirtyPages {
             inner: match &self.slots {
                 Slots::Sparse { dirty, .. } => DirtyInner::Sparse(dirty.iter()),
-                Slots::Dense { atlas, dirty, .. } => DirtyInner::Dense {
-                    atlas,
-                    flags: dirty.iter().enumerate(),
-                },
+                Slots::Atlas { atlas, pages } => {
+                    // Slot order is `PageId` order.
+                    let mut slots: Vec<usize> = pages
+                        .iter()
+                        .filter(|(_, c)| c.dirty)
+                        .map(|(slot, _)| slot)
+                        .collect();
+                    slots.sort_unstable();
+                    let ids: Vec<PageId> = slots.into_iter().map(|s| atlas.page_id(s)).collect();
+                    DirtyInner::Atlas(ids.into_iter())
+                }
             },
         }
     }
@@ -308,9 +264,9 @@ impl PageStore {
                 .copied()
                 .filter(|p| p.object() == object)
                 .collect(),
-            Slots::Dense { atlas, dirty, .. } => atlas
+            Slots::Atlas { atlas, pages } => atlas
                 .object_slots(object)
-                .filter(|&s| dirty[s])
+                .filter(|&s| pages.get(s).is_some_and(|c| c.dirty))
                 .map(|s| atlas.page_id(s))
                 .collect(),
         }
@@ -343,18 +299,12 @@ impl PageStore {
                     .set_version(version);
                 dirty.remove(&page);
             }
-            Slots::Dense {
-                atlas,
-                pages,
-                dirty,
-                ..
-            } => {
-                let slot = atlas.slot(page);
-                pages[slot]
-                    .as_mut()
-                    .expect("publish of uncached page")
-                    .set_version(version);
-                dirty[slot] = false;
+            Slots::Atlas { atlas, pages } => {
+                let cached = pages
+                    .get_mut(atlas.slot(page))
+                    .expect("publish of uncached page");
+                cached.page.set_version(version);
+                cached.dirty = false;
             }
         }
     }
@@ -365,7 +315,11 @@ impl PageStore {
             Slots::Sparse { dirty, .. } => {
                 dirty.remove(&page);
             }
-            Slots::Dense { atlas, dirty, .. } => dirty[atlas.slot(page)] = false,
+            Slots::Atlas { atlas, pages } => {
+                if let Some(cached) = pages.get_mut(atlas.slot(page)) {
+                    cached.dirty = false;
+                }
+            }
         }
     }
 
@@ -384,10 +338,11 @@ impl PageStore {
                 let p = pages.get_mut(&page).expect("restore of uncached page");
                 *p = restored;
             }
-            Slots::Dense { atlas, pages, .. } => {
-                let slot = atlas.slot(page);
-                assert!(pages[slot].is_some(), "restore of uncached page");
-                pages[slot] = Some(restored);
+            Slots::Atlas { atlas, pages } => {
+                pages
+                    .get_mut(atlas.slot(page))
+                    .expect("restore of uncached page")
+                    .page = restored;
             }
         }
     }
@@ -400,17 +355,8 @@ impl PageStore {
                 pages.remove(&page);
                 dirty.remove(&page);
             }
-            Slots::Dense {
-                atlas,
-                pages,
-                dirty,
-                cached,
-            } => {
-                let slot = atlas.slot(page);
-                if pages[slot].take().is_some() {
-                    *cached -= 1;
-                }
-                dirty[slot] = false;
+            Slots::Atlas { atlas, pages } => {
+                pages.remove(atlas.slot(page));
             }
         }
     }
@@ -514,50 +460,113 @@ mod tests {
         PageStore::new(16).install(pid(0, 0), Version::INITIAL, vec![0; 8]);
     }
 
-    /// Replays the same operation sequence against both layouts and checks
-    /// every observable result agrees.
-    #[test]
-    fn dense_layout_matches_sparse_layout() {
-        let atlas = Arc::new(PageAtlas::new(&[6, 6, 6, 6]));
-        let mut sparse = PageStore::new(8);
-        let mut dense = PageStore::with_atlas(8, Arc::clone(&atlas));
-        let ops: [(u32, u16, u64); 7] = [
-            (0, 1, 11),
-            (2, 5, 12),
-            (0, 1, 13),
-            (3, 0, 14),
-            (1, 2, 15),
-            (2, 0, 16),
-            (0, 0, 17),
-        ];
-        for &(o, p, stamp) in &ops {
-            assert_eq!(
-                sparse.apply_stamp(pid(o, p), stamp),
-                dense.apply_stamp(pid(o, p), stamp)
-            );
-        }
-        assert_eq!(sparse.len(), dense.len());
+    /// Asserts every observable of the two stores agrees, page by page.
+    fn assert_same(sparse: &PageStore, atlas_store: &PageStore, atlas: &PageAtlas, ctx: &str) {
+        assert_eq!(sparse.len(), atlas_store.len(), "{ctx}: len");
         assert_eq!(
             sparse.dirty_pages().collect::<Vec<_>>(),
-            dense.dirty_pages().collect::<Vec<_>>()
+            atlas_store.dirty_pages().collect::<Vec<_>>(),
+            "{ctx}: dirty_pages"
         );
-        assert_eq!(
-            sparse.dirty_pages_of(ObjectId::new(0)),
-            dense.dirty_pages_of(ObjectId::new(0))
-        );
-        assert_eq!(
-            sparse.publish_object(ObjectId::new(0), Version::new(2)),
-            dense.publish_object(ObjectId::new(0), Version::new(2))
-        );
-        for &(o, p, _) in &ops {
-            assert_eq!(sparse.chain(pid(o, p)), dense.chain(pid(o, p)));
-            assert_eq!(sparse.version_of(pid(o, p)), dense.version_of(pid(o, p)));
-            assert_eq!(sparse.is_dirty(pid(o, p)), dense.is_dirty(pid(o, p)));
+        for o in 0..atlas.num_objects() {
+            let object = ObjectId::new(o);
+            assert_eq!(
+                sparse.dirty_pages_of(object),
+                atlas_store.dirty_pages_of(object),
+                "{ctx}: dirty_pages_of {object}"
+            );
         }
-        sparse.evict(pid(2, 5));
-        dense.evict(pid(2, 5));
-        assert_eq!(sparse.len(), dense.len());
-        assert!(!dense.contains(pid(2, 5)));
+        for slot in 0..atlas.total_pages() {
+            let page = atlas.page_id(slot);
+            assert_eq!(sparse.get(page), atlas_store.get(page), "{ctx}: get {page}");
+            assert_eq!(sparse.contains(page), atlas_store.contains(page));
+            assert_eq!(sparse.version_of(page), atlas_store.version_of(page));
+            assert_eq!(
+                sparse.chain(page),
+                atlas_store.chain(page),
+                "{ctx}: chain {page}"
+            );
+            assert_eq!(
+                sparse.is_dirty(page),
+                atlas_store.is_dirty(page),
+                "{ctx}: dirty {page}"
+            );
+        }
+    }
+
+    /// Differential test of the atlas layout against the map-backed
+    /// reference: seeded random operation streams over every mutating
+    /// call, with every observable compared after each operation.
+    #[test]
+    fn dense_layout_matches_sparse_layout() {
+        use lotec_sim::SimRng;
+
+        let atlas = Arc::new(PageAtlas::new(&[3, 1, 4, 2, 5]));
+        let size = 16;
+        let total = atlas.total_pages();
+
+        // Deterministic preamble: evicting a middle entry moves the last
+        // entry into its place; the moved page must read back unchanged.
+        let mut sparse = PageStore::new(size);
+        let mut dense = PageStore::with_atlas(size, Arc::clone(&atlas));
+        for store in [&mut sparse, &mut dense] {
+            store.install(pid(0, 0), Version::new(1), vec![1; size]);
+            store.apply_stamp(pid(2, 3), 7);
+            store.install(pid(4, 4), Version::new(3), vec![3; size]);
+            store.evict(pid(2, 3));
+        }
+        assert_same(&sparse, &dense, &atlas, "middle evict");
+        assert_eq!(dense.version_of(pid(4, 4)), Some(Version::new(3)));
+        assert_eq!(dense.get(pid(4, 4)).unwrap().data()[15], 3);
+        for store in [&mut sparse, &mut dense] {
+            store.apply_stamp(pid(4, 4), 9);
+            store.install(pid(2, 3), Version::new(2), vec![2; size]);
+        }
+        assert_same(&sparse, &dense, &atlas, "re-install after evict");
+
+        for seed in 0..6u64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut sparse = PageStore::new(size);
+            let mut dense = PageStore::with_atlas(size, Arc::clone(&atlas));
+            for step in 0..600 {
+                let page = atlas.page_id(rng.usize_range(0, total));
+                let version = Version::new(rng.next_below(5));
+                let byte = rng.next_below(256) as u8;
+                let op = rng.next_below(10);
+                let cached = sparse.contains(page);
+                for store in [&mut sparse, &mut dense] {
+                    match op {
+                        0 => {
+                            store.ensure(page);
+                        }
+                        1 => store.install(page, version, vec![byte; size]),
+                        2 => {
+                            store.apply_stamp(page, u64::from(byte) + 1);
+                        }
+                        3 => store.write(page, &vec![byte; 1 + usize::from(byte) % size]),
+                        4 if cached => store.publish_page(page, version),
+                        5 => {
+                            store.publish_object(page.object(), version);
+                        }
+                        6 => store.mark_clean(page),
+                        7 if cached => store.restore(page, version, vec![byte; size]),
+                        8 => store.evict(page),
+                        9 => {
+                            // Re-install after evict: the slot is reused.
+                            store.evict(page);
+                            store.install(page, version, vec![byte; size]);
+                        }
+                        _ => {}
+                    }
+                }
+                assert_same(
+                    &sparse,
+                    &dense,
+                    &atlas,
+                    &format!("seed {seed} step {step} op {op}"),
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use std::fmt;
 
-use lotec_mem::{ObjectId, PageIndex};
+use lotec_mem::{ObjectId, PageIndex, PageLocation, TouchedSlots};
 use lotec_obs::{EventSink, ObsEvent, ObsEventKind, ObsLockMode, ReleaseCause};
 use lotec_sim::{NodeId, SimTime};
 
@@ -193,13 +193,25 @@ pub struct LockOccupancy {
 
 /// The lock table: every object's GDO entry plus reverse indexes.
 ///
-/// Entries live in a flat `Vec` indexed by the dense object id, so the
-/// per-acquisition entry lookup on the simulation hot path is an array
-/// index rather than a tree walk. Iteration visits objects in ascending
-/// id order — the same order the previous ordered-map layout used.
+/// Registration records one compact row (page count, home) per object.
+/// The full [`GdoEntry`] — holder and retainer lists, waiter queue, page
+/// map and waits-for contribution — is materialised on the object's
+/// first lock request ([`LockTable::touch`]); until then the object's
+/// state is implicit: unlocked, every page at version 0 at its home
+/// ([`PageLocation::initial`]). Entries live in a [`TouchedSlots`] keyed
+/// by the dense object id, so the per-acquisition entry lookup on the
+/// simulation hot path is an array index, and memory grows with the
+/// objects a run touches. Iteration visits objects in ascending id order
+/// — the same order the previous ordered-map layout used.
 #[derive(Debug, Clone, Default)]
 pub struct LockTable {
-    entries: Vec<Option<GdoEntry>>,
+    /// Registration rows, indexed by object id (`num_pages == 0`: not
+    /// registered).
+    rows: Vec<ObjectRow>,
+    /// Materialised entries, keyed by object id. Entries are never
+    /// removed, so an entry's storage position is stable and doubles as
+    /// its waits-for contribution slot.
+    entries: TouchedSlots<GdoEntry>,
     held_by: TxnObjects,
     retained_by: TxnObjects,
     /// Family-level waits-for graph, refreshed at every entry mutation
@@ -211,6 +223,16 @@ pub struct LockTable {
     /// its result with the reference implementation. Enabled by the
     /// differential oracle and property suites.
     validate_graph: bool,
+}
+
+/// What registration records about an object: enough to describe it
+/// until its first lock request materialises a [`GdoEntry`].
+#[derive(Debug, Clone, Copy, Default)]
+struct ObjectRow {
+    /// Pages the object spans (zero only for unregistered ids).
+    num_pages: u16,
+    /// Node holding the object's initial (version-0) image.
+    home: NodeId,
 }
 
 /// Reverse index from transactions to the objects they hold (or retain),
@@ -270,22 +292,73 @@ impl LockTable {
         Self::default()
     }
 
-    /// Registers an object of `num_pages` pages homed at `home`.
+    /// Registers an object of `num_pages` pages homed at `home`. Records
+    /// the object's row only; its GDO entry is built on first touch.
     ///
     /// # Panics
     ///
     /// Panics if the object is already registered or `num_pages` is zero.
     pub fn register_object(&mut self, object: ObjectId, num_pages: u16, home: NodeId) {
+        assert!(num_pages > 0, "object must span at least one page");
         let slot = object.index() as usize;
-        if slot >= self.entries.len() {
-            self.entries.resize_with(slot + 1, || None);
+        if slot >= self.rows.len() {
+            self.rows.resize(slot + 1, ObjectRow::default());
         }
         assert!(
-            self.entries[slot].is_none(),
+            self.rows[slot].num_pages == 0,
             "object {object} registered twice"
         );
-        self.entries[slot] = Some(GdoEntry::new(object, num_pages, home));
-        self.graph.ensure_slot(slot);
+        self.rows[slot] = ObjectRow { num_pages, home };
+    }
+
+    /// The registration row of `object`, if registered.
+    fn row(&self, object: ObjectId) -> Option<ObjectRow> {
+        self.rows
+            .get(object.index() as usize)
+            .copied()
+            .filter(|row| row.num_pages > 0)
+    }
+
+    /// Materialises `object`'s GDO entry if this is its first touch.
+    /// Returns `true` when the entry was built by this call — the caller's
+    /// cue to materialise whatever else it keeps implicit for untouched
+    /// objects. [`LockTable::acquire`] touches implicitly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LockError::UnknownObject`] if unregistered.
+    pub fn touch(&mut self, object: ObjectId) -> Result<bool, LockError> {
+        let slot = object.index() as usize;
+        if self.entries.contains(slot) {
+            return Ok(false);
+        }
+        let row = self.row(object).ok_or(LockError::UnknownObject(object))?;
+        self.entries.grow(self.rows.len());
+        self.entries
+            .insert(slot, GdoEntry::new(object, row.num_pages, row.home));
+        Ok(true)
+    }
+
+    /// Number of materialised GDO entries (objects touched so far).
+    pub fn materialised(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Where the newest copy of `page` of `object` lives: the page map's
+    /// answer for a touched object, the home's version-0 image otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `object` is unregistered or `page` out of range.
+    pub fn page_location(&self, object: ObjectId, page: PageIndex) -> PageLocation {
+        match self.entries.get(object.index() as usize) {
+            Some(entry) => entry.page_map().location(page),
+            None => {
+                let row = self.row(object).expect("registered object");
+                assert!(page.get() < row.num_pages, "page {page} out of range");
+                PageLocation::initial(row.home)
+            }
+        }
     }
 
     /// The incrementally maintained family-level waits-for graph.
@@ -311,9 +384,11 @@ impl LockTable {
     /// waits-for graph. Every mutation of an entry's holders, retainers,
     /// or waiter queue funnels through here.
     fn refresh_graph(&mut self, object: ObjectId, tree: &TxnTree) {
-        let slot = object.index() as usize;
-        let entry = self.entries.get(slot).and_then(Option::as_ref);
-        self.graph.refresh(slot, entry, tree);
+        // Untouched objects have no waiters, hence no edges.
+        let key = object.index() as usize;
+        if let (Some(slot), Some(entry)) = (self.entries.position(key), self.entries.get(key)) {
+            self.graph.refresh(slot, entry, tree);
+        }
         if self.validate_graph {
             let want = crate::deadlock::reference::waits_for(self, tree);
             let got = self.graph.to_reference();
@@ -325,28 +400,26 @@ impl LockTable {
         }
     }
 
-    /// The GDO entry for `object`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LockError::UnknownObject`] if unregistered.
-    pub fn entry(&self, object: ObjectId) -> Result<&GdoEntry, LockError> {
-        self.entries
-            .get(object.index() as usize)
-            .and_then(Option::as_ref)
-            .ok_or(LockError::UnknownObject(object))
+    /// The GDO entry for `object`, or `None` if the object is unregistered
+    /// or untouched (see [`LockTable::page_location`] for an untouched
+    /// object's pages).
+    pub fn entry(&self, object: ObjectId) -> Option<&GdoEntry> {
+        self.entries.get(object.index() as usize)
     }
 
-    /// Mutable GDO entry access (page-map updates by the engine).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LockError::UnknownObject`] if unregistered.
-    pub fn entry_mut(&mut self, object: ObjectId) -> Result<&mut GdoEntry, LockError> {
+    /// Mutable GDO entry access (page-map updates by the engine); `None`
+    /// if unregistered or untouched.
+    pub fn entry_mut(&mut self, object: ObjectId) -> Option<&mut GdoEntry> {
+        self.entries.get_mut(object.index() as usize)
+    }
+
+    /// Ids of the materialised entries, ascending.
+    pub fn touched_objects(&self) -> Vec<ObjectId> {
         self.entries
-            .get_mut(object.index() as usize)
-            .and_then(Option::as_mut)
-            .ok_or(LockError::UnknownObject(object))
+            .sorted_keys()
+            .into_iter()
+            .map(|k| ObjectId::new(k as u32))
+            .collect()
     }
 
     /// Objects currently held by `txn`, ascending by id.
@@ -363,19 +436,23 @@ impl LockTable {
         objects.into_iter()
     }
 
-    /// Iterator over all registered entries in ascending object-id order
-    /// (deadlock detection scans these).
+    /// Iterator over all materialised entries in ascending object-id
+    /// order (the from-scratch deadlock detector scans these; untouched
+    /// objects hold no locks).
     pub fn entries(&self) -> impl Iterator<Item = &GdoEntry> {
-        self.entries.iter().flatten()
+        self.entries
+            .sorted_keys()
+            .into_iter()
+            .map(|k| self.entries.get(k).expect("sorted key is touched"))
     }
 
     /// Aggregate occupancy across every GDO entry: live holder links,
-    /// retainer links, and queued requests. One O(objects) scan — feeds
-    /// periodic state sampling, not the per-acquisition hot path.
+    /// retainer links, and queued requests. One O(touched objects) scan —
+    /// feeds periodic state sampling, not the per-acquisition hot path.
     #[must_use]
     pub fn occupancy(&self) -> LockOccupancy {
         let mut occ = LockOccupancy::default();
-        for entry in self.entries() {
+        for (_, entry) in self.entries.iter() {
             occ.held += entry.holders().len() as u32;
             occ.retained += entry.retainers().count() as u32;
             occ.waiting += entry.num_waiting() as u32;
@@ -410,11 +487,11 @@ impl LockTable {
     ) -> Result<Acquire, LockError> {
         let node = tree.node_of(txn);
         let family = tree.root_of(txn);
+        self.touch(object)?;
         let entry = self
             .entries
             .get_mut(object.index() as usize)
-            .and_then(Option::as_mut)
-            .ok_or(LockError::UnknownObject(object))?;
+            .expect("just touched");
 
         // Uncontended fast path: nobody holds, retains, or waits. Every
         // check below is vacuous and the outcome is a fresh sole-holder
@@ -622,9 +699,10 @@ impl LockTable {
         let mut inherited = Vec::new();
 
         for object in self.held_by.take(txn) {
-            let entry = self.entries[object.index() as usize]
-                .as_mut()
-                .expect("held object registered");
+            let entry = self
+                .entries
+                .get_mut(object.index() as usize)
+                .expect("held object touched");
             let holder = entry.remove_holder(txn).expect("index said txn holds");
             entry.add_retainer(parent, holder.mode);
             self.retained_by.insert(parent, object);
@@ -641,9 +719,10 @@ impl LockTable {
             inherited.push(object);
         }
         for object in self.retained_by.take(txn) {
-            let entry = self.entries[object.index() as usize]
-                .as_mut()
-                .expect("retained object registered");
+            let entry = self
+                .entries
+                .get_mut(object.index() as usize)
+                .expect("retained object touched");
             let mode = entry.remove_retainer(txn).expect("index said txn retains");
             entry.add_retainer(parent, mode);
             self.retained_by.insert(parent, object);
@@ -701,9 +780,10 @@ impl LockTable {
         objects.sort_unstable();
         objects.dedup();
         for object in objects {
-            let entry = self.entries[object.index() as usize]
-                .as_mut()
-                .expect("indexed object registered");
+            let entry = self
+                .entries
+                .get_mut(object.index() as usize)
+                .expect("indexed object touched");
             entry.remove_holder(txn);
             entry.remove_retainer(txn);
             let ancestor_retains = entry
@@ -782,9 +862,10 @@ impl LockTable {
         assert!(tree.parent(root).is_none(), "{root} is not a root");
         // Record dirty info in the page maps first (Alg. 4.4's first loop).
         for (object, pages) in dirty {
-            let entry = self.entries[object.index() as usize]
-                .as_mut()
-                .expect("dirty object registered");
+            let entry = self
+                .entries
+                .get_mut(object.index() as usize)
+                .expect("dirty object touched");
             for &page in pages {
                 entry.page_map_mut().record_update(page, node);
             }
@@ -797,9 +878,10 @@ impl LockTable {
         objects.sort_unstable();
         objects.dedup();
         for object in objects {
-            let entry = self.entries[object.index() as usize]
-                .as_mut()
-                .expect("indexed object registered");
+            let entry = self
+                .entries
+                .get_mut(object.index() as usize)
+                .expect("indexed object touched");
             entry.remove_holder(root);
             entry.remove_retainer(root);
             debug_assert!(
@@ -860,9 +942,9 @@ impl LockTable {
         let Self {
             entries, held_by, ..
         } = self;
-        let entry = entries[object.index() as usize]
-            .as_mut()
-            .expect("object registered");
+        let entry = entries
+            .get_mut(object.index() as usize)
+            .expect("released object touched");
         while let Some(next) = entry.peek_next_family() {
             // Admissibility: every queued request of the family must be
             // compatible with current holders and blocking retainers.
@@ -921,20 +1003,25 @@ impl LockTable {
     /// it; callers must follow up with [`LockTable::regrant`] on the
     /// returned objects or risk a lost wakeup.
     pub fn cancel_family_waiters(&mut self, family: TxnId, tree: &TxnTree) -> Vec<ObjectId> {
-        let mut touched = Vec::new();
-        for slot in 0..self.entries.len() {
-            let Some(entry) = self.entries[slot].as_mut() else {
-                continue;
-            };
-            if !entry.remove_family_waiters(family).is_empty() {
-                let object = entry.object();
-                // Dropping a queue entry removes the family's outgoing
-                // edges on that object and any FIFO edges other waiters
-                // had toward it — refresh before touching the next entry
-                // so the graph never goes stale mid-batch.
-                self.refresh_graph(object, tree);
-                touched.push(object);
-            }
+        // Find the family's queues first (storage order), then cancel in
+        // ascending object order — the returned order drives regrants.
+        let mut touched: Vec<ObjectId> = self
+            .entries
+            .iter()
+            .filter(|(_, entry)| entry.waiting().any(|fw| fw.family == family))
+            .map(|(_, entry)| entry.object())
+            .collect();
+        touched.sort_unstable();
+        for &object in &touched {
+            self.entries
+                .get_mut(object.index() as usize)
+                .expect("queued object touched")
+                .remove_family_waiters(family);
+            // Dropping a queue entry removes the family's outgoing edges
+            // on that object and any FIFO edges other waiters had toward
+            // it — refresh before touching the next entry so the graph
+            // never goes stale mid-batch.
+            self.refresh_graph(object, tree);
         }
         touched
     }
@@ -968,7 +1055,7 @@ impl LockTable {
     /// indexes match entries; at most one write holder per object; write
     /// holder excludes other holders from different families.
     pub fn check_invariants(&self, tree: &TxnTree) -> Result<(), String> {
-        for entry in self.entries.iter().flatten() {
+        for entry in self.entries() {
             let object = entry.object();
             let writers: Vec<_> = entry
                 .holders()
@@ -1004,7 +1091,6 @@ impl LockTable {
                 let entry = self
                     .entries
                     .get(object.index() as usize)
-                    .and_then(Option::as_ref)
                     .ok_or("indexed object missing")?;
                 if !entry.is_held_by(txn) {
                     return Err(format!("index says {txn} holds {object}, entry disagrees"));
