@@ -3,6 +3,7 @@
 use lotec_net::{MessageSizes, NetworkConfig};
 use lotec_sim::SimDuration;
 
+use crate::error::CoreError;
 use crate::protocol::ProtocolKind;
 
 /// Local processing costs (everything that is *not* network time).
@@ -92,12 +93,14 @@ impl FaultConfig {
 
     /// Validates the embedded plan against the cluster size.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on the conditions documented for
+    /// [`CoreError::InvalidConfig`] on the conditions documented for
     /// [`FaultPlan::validate`](lotec_sim::FaultPlan::validate).
-    pub fn validate(&self, num_nodes: u32) {
-        self.plan.validate(num_nodes);
+    pub fn validate(&self, num_nodes: u32) -> Result<(), CoreError> {
+        self.plan
+            .validate(num_nodes)
+            .map_err(CoreError::InvalidConfig)
     }
 }
 
@@ -368,47 +371,48 @@ impl SystemConfig {
         }
     }
 
-    /// The backup replicas of `object`'s GDO partition: the
-    /// `gdo_replication - 1` nodes following the home in ring order.
-    pub fn gdo_replicas(&self, object: lotec_mem::ObjectId) -> Vec<lotec_sim::NodeId> {
-        let home = self.gdo_home(object).index();
-        (1..self.gdo_replication)
-            .map(|i| lotec_sim::NodeId::new((home + i) % self.num_nodes))
-            .collect()
-    }
-
     /// Validates parameter sanity.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `num_nodes` is zero, `page_size < 8`, or
-    /// `prediction_miss_rate` is outside `[0, 1]`.
-    pub fn validate(&self) {
-        assert!(self.num_nodes > 0, "need at least one node");
+    /// [`CoreError::InvalidConfig`] naming the first problem: no nodes, a
+    /// central GDO node or crash window outside the cluster, a replication
+    /// factor outside `1..=num_nodes`, `page_size < 8`, a probability
+    /// outside its range, a zero adaptive window, or a recorder with no
+    /// slots.
+    pub fn validate(&self) -> Result<(), CoreError> {
+        let ensure = |ok: bool, msg: &str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(CoreError::InvalidConfig(msg.to_owned()))
+            }
+        };
+        ensure(self.num_nodes > 0, "need at least one node")?;
         if let GdoPlacement::Central(node) = self.gdo_placement {
-            assert!(
+            ensure(
                 node.index() < self.num_nodes,
-                "central GDO node out of range"
-            );
+                "central GDO node out of range",
+            )?;
         }
-        assert!(
+        ensure(
             self.gdo_replication >= 1 && self.gdo_replication <= self.num_nodes,
-            "gdo_replication must be in 1..=num_nodes"
-        );
-        assert!(self.page_size >= 8, "page size must be at least 8 bytes");
-        assert!(
+            "gdo_replication must be in 1..=num_nodes",
+        )?;
+        ensure(self.page_size >= 8, "page size must be at least 8 bytes")?;
+        ensure(
             (0.0..=1.0).contains(&self.prediction_miss_rate),
-            "prediction_miss_rate must be a probability"
-        );
-        assert!(
+            "prediction_miss_rate must be a probability",
+        )?;
+        ensure(
             !self.adaptive.enabled || self.adaptive.window > 0,
-            "adaptive confidence window must be positive"
-        );
-        assert!(
+            "adaptive confidence window must be positive",
+        )?;
+        ensure(
             self.flight_recorder.slots >= 1,
-            "flight recorder needs at least one slot"
-        );
-        self.faults.validate(self.num_nodes);
+            "flight recorder needs at least one slot",
+        )?;
+        self.faults.validate(self.num_nodes)
     }
 }
 
@@ -416,9 +420,22 @@ impl SystemConfig {
 mod tests {
     use super::*;
 
+    /// Asserts `validate` rejects `cfg` with an `InvalidConfig` error
+    /// containing `text`, then replays an empty trace under `cfg`: replay
+    /// cannot return the error, so it must panic with the same text.
+    fn assert_rejected(cfg: &SystemConfig, text: &str) {
+        match cfg.validate() {
+            Err(CoreError::InvalidConfig(msg)) => assert!(msg.contains(text), "{msg}"),
+            other => panic!("expected an InvalidConfig error, got {other:?}"),
+        }
+        let (registry, _) = crate::spec::demo_workload(&SystemConfig::default(), 1);
+        let trace = crate::trace::ScheduleTrace::new();
+        crate::replay::replay_trace(ProtocolKind::Lotec, &trace, &registry, cfg);
+    }
+
     #[test]
     fn default_is_valid() {
-        SystemConfig::default().validate();
+        assert_eq!(SystemConfig::default().validate(), Ok(()));
     }
 
     #[test]
@@ -442,7 +459,7 @@ mod tests {
             ..FaultConfig::default()
         });
         assert!(cfg.faults.enabled());
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
@@ -462,7 +479,7 @@ mod tests {
             },
             ..SystemConfig::default()
         };
-        cfg.validate();
+        assert_rejected(&cfg, "outside");
     }
 
     #[test]
@@ -472,7 +489,7 @@ mod tests {
         let cfg = cfg.with_adaptive(AdaptiveConfig::on());
         assert!(cfg.adaptive.enabled);
         assert_eq!(cfg.adaptive.window, 4);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
@@ -485,7 +502,7 @@ mod tests {
             },
             ..SystemConfig::default()
         };
-        cfg.validate();
+        assert_rejected(&cfg, "confidence window");
     }
 
     #[test]
@@ -494,14 +511,14 @@ mod tests {
         assert_eq!(cfg.flight_recorder.slots, 4096);
         let cfg = cfg.with_flight_recorder(16);
         assert_eq!(cfg.flight_recorder.slots, 16);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_recorder_slots_rejected() {
         let cfg = SystemConfig::default().with_flight_recorder(0);
-        cfg.validate();
+        assert_rejected(&cfg, "at least one slot");
     }
 
     #[test]
@@ -511,7 +528,7 @@ mod tests {
             prediction_miss_rate: 1.5,
             ..SystemConfig::default()
         };
-        cfg.validate();
+        assert_rejected(&cfg, "probability");
     }
 
     #[test]
@@ -521,6 +538,6 @@ mod tests {
             num_nodes: 0,
             ..SystemConfig::default()
         };
-        cfg.validate();
+        assert_rejected(&cfg, "at least one node");
     }
 }

@@ -33,8 +33,8 @@ use std::sync::Arc;
 
 use lotec_mem::{ObjectId, PageAtlas, PageData, PageId, PageIndex, Recovery, ShadowPages, UndoLog};
 use lotec_mem::{PageStore, Version};
-use lotec_net::{plan_delivery, Message, MessageKind, TrafficLedger};
-use lotec_object::{AdaptivePredictor, ObjectRegistry, PageSet};
+use lotec_net::{plan_delivery, Message, TrafficLedger};
+use lotec_object::{AdaptivePredictor, ObjectRegistry};
 use lotec_obs::{
     Anomaly, EventSink, FamilySnapshot, FlightRecorder, ForensicsDump, HostProfiler, HostRegion,
     NoopHostProfiler, NoopSink, ObsEvent, ObsEventKind, ObsPhase, OccupancySnapshot, SpanOutcome,
@@ -42,12 +42,11 @@ use lotec_obs::{
 use lotec_sim::{NodeId, SimDuration, SimRng, SimTime, Simulator};
 use lotec_txn::{Acquire, Grant, LockMode, LockTable, TxnId, TxnTree};
 
-use crate::analysis::adjacent_run_count;
 use crate::config::{RecoveryKind, SystemConfig};
 use crate::error::CoreError;
-use crate::granularity::transfer_message_bytes;
+use crate::granularity as rules;
 use crate::metrics::{ProtocolTraffic, RunStats};
-use crate::protocol::{plan_transfer, PlacementView, ProtocolKind};
+use crate::protocol::{demand_batches, plan_transfer, PlacementView, ProtocolKind};
 use crate::spec::{validate_family, FamilySpec};
 use crate::trace::{ScheduleTrace, TraceEvent};
 
@@ -312,13 +311,15 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         mut prof: P,
     ) -> Result<Self, CoreError> {
         prof.enter(HostRegion::Setup);
-        config.validate();
-        for family in workload {
-            if let Err(e) = validate_family(family, registry, config) {
-                // Keep the profiler balanced on the error path.
-                prof.exit(HostRegion::Setup);
-                return Err(e);
-            }
+        let valid = config.validate().and_then(|()| {
+            workload
+                .iter()
+                .try_for_each(|family| validate_family(family, registry, config))
+        });
+        if let Err(e) = valid {
+            // Keep the profiler balanced on the error path.
+            prof.exit(HostRegion::Setup);
+            return Err(e);
         }
         let mut table = LockTable::new();
         if config.lock_graph_validation {
@@ -363,7 +364,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             sim.schedule_at(w.at, Event::NodeCrash(i as u32));
             sim.schedule_at(w.until, Event::NodeRecover(i as u32));
         }
-        let root_rng = SimRng::seed_from_u64(config.seed ^ 0x5EED_0F0F_4E97_1A1Du64);
+        let root_rng = rules::run_rng(config);
         prof.exit(HostRegion::Setup);
         Ok(Engine {
             config,
@@ -384,7 +385,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             trace: ScheduleTrace::new(),
             stats: RunStats::default(),
             committed: Vec::new(),
-            miss_rng: root_rng.fork(0xA11CE),
+            miss_rng: rules::miss_stream(config),
             jitter_rng: root_rng.fork(0xB0B),
             fault_rng: root_rng.fork(0xFA_17),
             predictor: config
@@ -554,24 +555,28 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         self.families[fam].generation
     }
 
+    /// Read-only placement view over the live state.
+    fn view(&self) -> EngineView<'_> {
+        EngineView {
+            table: &self.table,
+            stores: &self.stores,
+            registry: self.registry,
+            last_holder: &self.last_holder,
+        }
+    }
+
     // ---- message helpers -------------------------------------------------
 
     /// Charges a message and returns its transfer time; node-local
     /// "messages" are free and unrecorded.
-    fn send(
-        &mut self,
-        kind: MessageKind,
-        src: NodeId,
-        dst: NodeId,
-        object: ObjectId,
-        bytes: u64,
-    ) -> SimDuration {
-        if src == dst {
+    fn send(&mut self, msg: Message) -> SimDuration {
+        if msg.is_local() {
             return SimDuration::ZERO;
         }
-        self.ledger
-            .record(&Message::new(kind, src, dst, object, bytes));
-        self.config.network.transfer_time_for(kind, bytes)
+        self.ledger.record(&msg);
+        self.config
+            .network
+            .transfer_time_for(msg.kind(), msg.bytes())
     }
 
     /// Like [`Engine::send`], but over the lossy link model when fault
@@ -583,19 +588,11 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// stall to a family so phase accounting can book it as backoff rather
     /// than inflating the protocol phases. With faults disabled this is
     /// exactly [`Engine::send`]: no RNG draws, no extra records.
-    fn send_lossy(
-        &mut self,
-        kind: MessageKind,
-        src: NodeId,
-        dst: NodeId,
-        object: ObjectId,
-        bytes: u64,
-        fam: Option<usize>,
-    ) -> SimDuration {
-        if src == dst {
+    fn send_lossy(&mut self, msg: Message, fam: Option<usize>) -> SimDuration {
+        if msg.is_local() {
             return SimDuration::ZERO;
         }
-        let base = self.send(kind, src, dst, object, bytes);
+        let base = self.send(msg);
         if !self.config.faults.plan.enabled() {
             return base;
         }
@@ -603,13 +600,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let report = plan_delivery(
             &self.config.faults.plan,
             &mut self.fault_rng,
-            dst,
+            msg.dst(),
             now,
             base,
         );
         for _ in 0..report.wasted_copies() {
-            self.ledger
-                .record(&Message::new(kind, src, dst, object, bytes));
+            self.ledger.record(&msg);
         }
         self.stats.retransmits += u64::from(report.attempts - 1);
         self.stats.duplicates += u64::from(report.duplicates);
@@ -624,9 +620,9 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         if self.sink.enabled() && (report.attempts > 1 || report.duplicates > 0) {
             self.sink.emit(ObsEvent {
                 at: now,
-                node: src.index(),
+                node: msg.src().index(),
                 kind: ObsEventKind::Retransmit {
-                    dst: dst.index(),
+                    dst: msg.dst().index(),
                     attempts: report.attempts,
                     duplicates: report.duplicates,
                     wait_ns: report.retransmit_wait.as_nanos(),
@@ -637,16 +633,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         base + report.latency_penalty()
     }
 
-    /// Propagates a directory-state mutation for `object` to its backup
-    /// replicas (write-behind, so no latency is added to the mutating
-    /// operation's critical path).
-    fn replicate_gdo(&mut self, object: ObjectId, bytes: u64) {
-        if self.config.gdo_replication <= 1 {
-            return;
-        }
-        let home = self.config.gdo_home(object);
-        for replica in self.config.gdo_replicas(object) {
-            self.send(MessageKind::GdoReplicate, home, replica, object, bytes);
+    /// Propagates a directory mutation to its partition's backup replicas
+    /// (write-behind, so no latency is added to the mutating operation's
+    /// critical path).
+    fn replicate_gdo(&mut self, mutation: &Message) {
+        for msg in rules::gdo_fanout(self.config, mutation) {
+            self.send(msg);
         }
     }
 
@@ -862,28 +854,11 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             }
             Acquire::GlobalGrant { holders } => {
                 self.stats.global_lock_grants += 1;
-                let home = self.config.gdo_home(object);
-                let req_bytes = self.config.sizes.lock_request();
-                let grant_bytes = self
-                    .config
-                    .sizes
-                    .lock_grant(holders, self.registry.num_pages(object));
-                let mut delay = self.send_lossy(
-                    MessageKind::LockRequest,
-                    node,
-                    home,
-                    object,
-                    req_bytes,
-                    Some(fam),
-                ) + self.config.costs.gdo_processing
-                    + self.send_lossy(
-                        MessageKind::LockGrant,
-                        home,
-                        node,
-                        object,
-                        grant_bytes,
-                        Some(fam),
-                    );
+                let req = rules::lock_request(self.config, node, object);
+                let grant = rules::lock_grant(self.config, self.registry, node, object, holders);
+                let mut delay = self.send_lossy(req, Some(fam))
+                    + self.config.costs.gdo_processing
+                    + self.send_lossy(grant, Some(fam));
                 // A prefetched request has already been in flight since the
                 // parent started computing; the elapsed time is absorbed.
                 if self.config.lock_prefetch {
@@ -908,20 +883,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 );
                 let gen = self.generation(fam);
                 self.schedule(now + delay, Event::GrantArrived(fam as u32, gen));
-                self.replicate_gdo(object, self.config.sizes.lock_request());
+                self.replicate_gdo(&req);
             }
             Acquire::Queued => {
                 self.stats.queued_lock_requests += 1;
-                let home = self.config.gdo_home(object);
-                let req_bytes = self.config.sizes.lock_request();
-                self.send_lossy(
-                    MessageKind::LockRequest,
-                    node,
-                    home,
-                    object,
-                    req_bytes,
-                    None,
-                );
+                let req = rules::lock_request(self.config, node, object);
+                self.send_lossy(req, None);
                 self.set_phase(now, fam, Phase::WaitingGrant);
                 // Fault injection: a queued request carries an RPC timeout;
                 // if no grant arrives in time the waiter gives up and
@@ -937,7 +904,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     .root_txn
                     .expect("queued family has a root");
                 self.prof.enter(HostRegion::DeadlockGate);
-                let gate = self.break_deadlocks(now, home, root);
+                let gate = self.break_deadlocks(now, req.dst(), root);
                 self.prof.exit(HostRegion::DeadlockGate);
                 gate?;
             }
@@ -957,20 +924,14 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let fam = self.root_to_family[family_root.get() as usize] as usize;
         debug_assert_ne!(fam, u32::MAX as usize, "granted family is known");
         debug_assert_eq!(self.families[fam].phase, Phase::WaitingGrant);
-        let home = self.config.gdo_home(grant.object);
-        let grant_bytes = self
-            .config
-            .sizes
-            .lock_grant(grant.holders, self.registry.num_pages(grant.object));
-        let delay = self.config.costs.gdo_processing
-            + self.send_lossy(
-                MessageKind::LockGrant,
-                home,
-                req.node,
-                grant.object,
-                grant_bytes,
-                Some(fam),
-            );
+        let msg = rules::lock_grant(
+            self.config,
+            self.registry,
+            req.node,
+            grant.object,
+            grant.holders,
+        );
+        let delay = self.config.costs.gdo_processing + self.send_lossy(msg, Some(fam));
         self.set_phase(
             now,
             fam,
@@ -981,7 +942,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         );
         let gen = self.generation(fam);
         self.schedule(now + delay, Event::GrantArrived(fam as u32, gen));
-        self.replicate_gdo(grant.object, self.config.sizes.lock_request());
+        self.replicate_gdo(&rules::lock_request(self.config, req.node, grant.object));
     }
 
     fn on_grant_arrived(&mut self, now: SimTime, fam: usize) -> Result<(), CoreError> {
@@ -1026,36 +987,19 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             actual_writes: actual_writes.clone(),
         });
 
-        // Prefetch set per protocol (LOTEC consults the prediction; the
-        // miss-rate ablation randomly degrades it). The per-class
-        // extension can put each class under its own protocol.
-        let prefetch: PageSet = if kind.uses_prediction() {
-            if self.config.prediction_miss_rate > 0.0 {
-                let rate = self.config.prediction_miss_rate;
-                predicted
-                    .iter()
-                    .filter(|_| !self.miss_rng.chance(rate))
-                    .collect()
-            } else {
-                predicted.clone()
-            }
-        } else {
-            (0..self.registry.num_pages(object))
-                .map(PageIndex::new)
-                .collect()
-        };
+        // Prefetch set per protocol. The per-class extension can put each
+        // class under its own protocol.
+        let prefetch = rules::prefetch_set(
+            self.config,
+            kind,
+            &predicted,
+            self.registry.num_pages(object),
+            &mut self.miss_rng,
+        );
 
         // Plan against the *pre-grant* placement (last_holder still points
         // at the previous holder), then update placement bookkeeping.
-        let plan = {
-            let view = EngineView {
-                table: &self.table,
-                stores: &self.stores,
-                registry: self.registry,
-                last_holder: &self.last_holder,
-            };
-            plan_transfer(kind, &view, node, object, &prefetch)
-        };
+        let plan = plan_transfer(kind, &self.view(), node, object, &prefetch);
         if self.sink.enabled() {
             self.sink.emit(ObsEvent {
                 at: now,
@@ -1100,32 +1044,16 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let mut to_install: Vec<(PageId, Version, PageData)> = Vec::new();
         self.prof.enter(HostRegion::PageTransfer);
         for (source, pages) in plan.sources() {
-            // Adaptive mode coalesces runs of adjacent pages into ranged
-            // request entries; request sizing only — transfers keep their
-            // page framing, so `page_payload_bytes` stays exact.
-            let req = if self.config.adaptive.enabled {
-                self.config
-                    .sizes
-                    .coalesced_page_request(pages.len(), adjacent_run_count(pages))
-            } else {
-                self.config.sizes.page_request(pages.len())
-            };
-            let xfer = transfer_message_bytes(self.config, self.registry, object, pages);
-            let d = self.send_lossy(
-                MessageKind::PageRequest,
+            let [req, xfer] = rules::fetch_pair(
+                self.config,
+                self.registry,
                 node,
                 source,
                 object,
-                req,
-                Some(fam),
-            ) + self.send_lossy(
-                MessageKind::PageTransfer,
-                source,
-                node,
-                object,
-                xfer,
-                Some(fam),
+                pages,
+                false,
             );
+            let d = self.send_lossy(req, Some(fam)) + self.send_lossy(xfer, Some(fam));
             max_delay = max_delay.max(d);
             if self.sink.enabled() {
                 self.sink.emit(ObsEvent {
@@ -1136,7 +1064,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                         object: object.index(),
                         source: source.index(),
                         pages: pages.len() as u32,
-                        bytes: xfer,
+                        bytes: xfer.bytes(),
                         delay_ns: d.as_nanos(),
                     },
                 });
@@ -1164,61 +1092,38 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         if kind.uses_prediction() || self.config.faults.plan.enabled() {
             self.prof.enter(HostRegion::PageTransfer);
             let touched = actual_reads.union(actual_writes);
-            let mut stale_fetches: Vec<(PageIndex, NodeId)> = Vec::new();
-            for page in touched.iter() {
-                let (stale, source) = {
-                    let view = EngineView {
-                        table: &self.table,
-                        stores: &self.stores,
-                        registry: self.registry,
-                        last_holder: &self.last_holder,
-                    };
-                    let global = view.global_version(object, page);
-                    let local = view
-                        .local_version(node, object, page)
-                        .unwrap_or(Version::INITIAL);
-                    (global.is_newer_than(local), view.page_owner(object, page))
-                };
-                if stale {
-                    debug_assert_ne!(source, node, "owner cannot be stale at itself");
-                    stale_fetches.push((page, source));
-                }
-            }
+            // Adaptive runs batch every misprediction of this compute phase
+            // into one coalesced round trip per source; the batches travel
+            // in parallel, so the phase stretches by the slowest source.
+            // Static runs repair serially, page by page.
+            let coalesce = self.config.adaptive.enabled;
+            let batches = demand_batches(&self.view(), node, object, &touched, coalesce);
             let mut demand_installs = Vec::new();
-            if self.config.adaptive.enabled {
-                // Batched repair: every misprediction discovered in this
-                // compute phase is fetched with one coalesced round trip
-                // per source; the batches travel in parallel, so the
-                // compute phase stretches by the slowest source, not the
-                // sum of serial per-page fetches.
-                let mut by_source: Vec<(NodeId, Vec<PageIndex>)> = Vec::new();
-                for &(page, source) in &stale_fetches {
-                    match by_source.iter_mut().find(|(s, _)| *s == source) {
-                        Some((_, pages)) => pages.push(page),
-                        None => by_source.push((source, vec![page])),
-                    }
+            for (source, pages) in batches {
+                let [req, xfer] = rules::fetch_pair(
+                    self.config,
+                    self.registry,
+                    node,
+                    source,
+                    object,
+                    &pages,
+                    true,
+                );
+                if !coalesce && self.sink.enabled() {
+                    self.sink.emit(ObsEvent {
+                        at: now,
+                        node: node.index(),
+                        kind: ObsEventKind::DemandFetch {
+                            family: fam as u64,
+                            object: object.index(),
+                            page: pages[0].get(),
+                            source: source.index(),
+                            bytes: xfer.bytes(),
+                        },
+                    });
                 }
-                for (source, pages) in by_source {
-                    let req = self
-                        .config
-                        .sizes
-                        .coalesced_page_request(pages.len(), adjacent_run_count(&pages));
-                    let xfer = transfer_message_bytes(self.config, self.registry, object, &pages);
-                    let d = self.send_lossy(
-                        MessageKind::DemandPageRequest,
-                        node,
-                        source,
-                        object,
-                        req,
-                        Some(fam),
-                    ) + self.send_lossy(
-                        MessageKind::DemandPageTransfer,
-                        source,
-                        node,
-                        object,
-                        xfer,
-                        Some(fam),
-                    );
+                let d = self.send_lossy(req, Some(fam)) + self.send_lossy(xfer, Some(fam));
+                if coalesce {
                     demand_delay = demand_delay.max(d);
                     if self.sink.enabled() {
                         self.sink.emit(ObsEvent {
@@ -1229,52 +1134,15 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                                 object: object.index(),
                                 source: source.index(),
                                 pages: pages.iter().map(|p| p.get()).collect(),
-                                bytes: xfer,
+                                bytes: xfer.bytes(),
                                 delay_ns: d.as_nanos(),
                             },
                         });
                     }
-                    for &page in &pages {
-                        demand_installs.push(self.current_page_copy(object, page));
-                        self.stats.demand_fetches += 1;
-                    }
+                } else {
+                    demand_delay += d;
                 }
-            } else {
-                // Serial per-page repair (the legacy path; byte-identical
-                // message sequence to pre-adaptive builds).
-                for &(page, source) in &stale_fetches {
-                    let req = self.config.sizes.page_request(1);
-                    let xfer = transfer_message_bytes(self.config, self.registry, object, &[page]);
-                    if self.sink.enabled() {
-                        self.sink.emit(ObsEvent {
-                            at: now,
-                            node: node.index(),
-                            kind: ObsEventKind::DemandFetch {
-                                family: fam as u64,
-                                object: object.index(),
-                                page: page.get(),
-                                source: source.index(),
-                                bytes: xfer,
-                            },
-                        });
-                    }
-                    demand_delay = demand_delay
-                        + self.send_lossy(
-                            MessageKind::DemandPageRequest,
-                            node,
-                            source,
-                            object,
-                            req,
-                            Some(fam),
-                        )
-                        + self.send_lossy(
-                            MessageKind::DemandPageTransfer,
-                            source,
-                            node,
-                            object,
-                            xfer,
-                            Some(fam),
-                        );
+                for &page in &pages {
                     demand_installs.push(self.current_page_copy(object, page));
                     self.stats.demand_fetches += 1;
                 }
@@ -1466,11 +1334,10 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     node,
                     released: rel.released.clone(),
                 });
-                for object in &rel.released {
-                    let home = self.config.gdo_home(*object);
-                    let bytes = self.config.sizes.lock_release(0);
-                    self.send_lossy(MessageKind::LockRelease, node, home, *object, bytes, None);
-                    self.replicate_gdo(*object, bytes);
+                for &object in &rel.released {
+                    let msg = rules::lock_release(self.config, node, object, 0);
+                    self.send_lossy(msg, None);
+                    self.replicate_gdo(&msg);
                 }
             }
             for grant in &rel.grants {
@@ -1604,15 +1471,14 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         }
 
         // Release messages: dirty info piggybacked per object (Alg. 4.4).
-        for object in &rel.released {
-            let home = self.config.gdo_home(*object);
+        for &object in &rel.released {
             let n_dirty = dirty
                 .iter()
-                .find(|(o, _)| o == object)
+                .find(|(o, _)| *o == object)
                 .map_or(0, |(_, p)| p.len());
-            let bytes = self.config.sizes.lock_release(n_dirty);
-            self.send_lossy(MessageKind::LockRelease, node, home, *object, bytes, None);
-            self.replicate_gdo(*object, bytes);
+            let msg = rules::lock_release(self.config, node, object, n_dirty);
+            self.send_lossy(msg, None);
+            self.replicate_gdo(&msg);
         }
 
         // RC extension: eagerly push updates to every other caching site
@@ -1638,17 +1504,16 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     .iter()
                     .map(|&p| self.current_page_copy(*object, p))
                     .collect();
-                let bytes = transfer_message_bytes(self.config, self.registry, *object, pages);
-                // On a multicast network one transmission reaches every
-                // caching site; otherwise each site costs a unicast push.
-                if self.config.multicast {
-                    if let Some(&first) = sites.first() {
-                        self.send_lossy(MessageKind::UpdatePush, node, first, *object, bytes, None);
-                    }
-                } else {
-                    for &site in &sites {
-                        self.send_lossy(MessageKind::UpdatePush, node, site, *object, bytes, None);
-                    }
+                let pushes = rules::update_pushes(
+                    self.config,
+                    self.registry,
+                    node,
+                    *object,
+                    pages,
+                    sites.iter().copied(),
+                );
+                for msg in pushes {
+                    self.send_lossy(msg, None);
                 }
                 self.prof.enter(HostRegion::PageInstall);
                 for site in sites {
@@ -1904,13 +1769,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         // Each globally released lock costs an (empty) release message to
         // its GDO partition — unless the node is dead, in which case the
         // directory reclaims the locks without hearing from it.
-        for object in &released {
-            let home = self.config.gdo_home(*object);
-            let bytes = self.config.sizes.lock_release(0);
+        for &object in &released {
+            let msg = rules::lock_release(self.config, node, object, 0);
             if node_alive {
-                self.send_lossy(MessageKind::LockRelease, node, home, *object, bytes, None);
+                self.send_lossy(msg, None);
             }
-            self.replicate_gdo(*object, bytes);
+            self.replicate_gdo(&msg);
         }
         self.trace.push(TraceEvent::FamilyAbort {
             at: now,
@@ -2332,6 +2196,7 @@ mod tests {
     use super::*;
     use crate::oracle;
     use crate::spec::demo_workload;
+    use lotec_net::MessageKind;
 
     fn run_demo(protocol: ProtocolKind, seed: u64) -> RunReport {
         let config = SystemConfig {
@@ -2383,18 +2248,10 @@ mod tests {
             let report = run_engine(&config, &registry, &families).unwrap();
             let replayed = crate::replay::replay_trace(protocol, &report.trace, &registry, &config);
             assert_eq!(
-                report.traffic.total(),
-                replayed.total(),
+                report.traffic.ledger(),
+                replayed.ledger(),
                 "{protocol}: engine and replay accounting diverged"
             );
-            for inst in registry.objects() {
-                assert_eq!(
-                    report.traffic.object(inst.id),
-                    replayed.object(inst.id),
-                    "{protocol}/{}: per-object accounting diverged",
-                    inst.id
-                );
-            }
         }
     }
 
@@ -2412,7 +2269,7 @@ mod tests {
 
         // Engine accounting must equal the assignment-aware replay.
         let replayed = crate::replay::replay_run(&report.trace, &registry, &config);
-        assert_eq!(report.traffic.total(), replayed.total());
+        assert_eq!(report.traffic.ledger(), replayed.ledger());
 
         // Eager pushes exist (the RC class commits updates) ...
         let pushes = report.traffic.ledger().kind(MessageKind::UpdatePush);
@@ -2453,18 +2310,10 @@ mod tests {
         oracle::verify(&report).expect("adaptive runs stay serializable");
         let replayed = crate::replay::replay_run(&report.trace, &registry, &config);
         assert_eq!(
-            report.traffic.total(),
-            replayed.total(),
+            report.traffic.ledger(),
+            replayed.ledger(),
             "adaptive engine and replay accounting diverged"
         );
-        for inst in registry.objects() {
-            assert_eq!(
-                report.traffic.object(inst.id),
-                replayed.object(inst.id),
-                "{}: adaptive per-object accounting diverged",
-                inst.id
-            );
-        }
     }
 
     #[test]
@@ -2582,7 +2431,7 @@ mod tests {
         );
         // Replay under the same multicast flag matches the engine.
         let replayed = crate::replay::replay_run(&multi.trace, &registry, &multicast_cfg);
-        assert_eq!(multi.traffic.total(), replayed.total());
+        assert_eq!(multi.traffic.ledger(), replayed.ledger());
     }
 
     #[test]
@@ -2612,7 +2461,7 @@ mod tests {
             "dsd changes sizes, not message structure"
         );
         let replayed = crate::replay::replay_run(&dsd_run.trace, &registry, &dsd_cfg);
-        assert_eq!(dsd_run.traffic.total(), replayed.total());
+        assert_eq!(dsd_run.traffic.ledger(), replayed.ledger());
     }
 
     #[test]
@@ -2631,7 +2480,7 @@ mod tests {
         let central = run_engine(&central_cfg, &registry, &families).unwrap();
         crate::oracle::verify(&central).expect("central GDO stays serializable");
         let replayed = crate::replay::replay_run(&central.trace, &registry, &central_cfg);
-        assert_eq!(central.traffic.total(), replayed.total());
+        assert_eq!(central.traffic.ledger(), replayed.ledger());
         // Every lock op from a non-directory node pays messages under the
         // central design; partitioning gives each node a local share.
         let lock_msgs = |r: &RunReport| {
@@ -2654,7 +2503,14 @@ mod tests {
             gdo_placement: GdoPlacement::Central(NodeId::new(99)),
             ..SystemConfig::default()
         };
-        cfg.validate();
+        let (registry, families) = demo_workload(&SystemConfig::default(), 1);
+        let err = run_engine(&cfg, &registry, &families).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::InvalidConfig("central GDO node out of range".into())
+        );
+        // Replay cannot return the error: it panics with the same text.
+        crate::replay::replay_trace(cfg.protocol, &ScheduleTrace::new(), &registry, &cfg);
     }
 
     #[test]
@@ -2687,7 +2543,7 @@ mod tests {
         assert_eq!(unreplicated.trace, replicated.trace);
         // Replay parity.
         let replayed = crate::replay::replay_run(&replicated.trace, &registry, &repl_cfg);
-        assert_eq!(replicated.traffic.total(), replayed.total());
+        assert_eq!(replicated.traffic.ledger(), replayed.ledger());
     }
 
     #[test]

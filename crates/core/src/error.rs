@@ -9,6 +9,8 @@ use lotec_txn::LockError;
 pub enum CoreError {
     /// A workload specification failed validation.
     InvalidSpec(String),
+    /// A [`SystemConfig`](crate::SystemConfig) failed validation.
+    InvalidConfig(String),
     /// The lock manager rejected an operation the engine expected to be
     /// legal — either a workload bug (mutual recursion) or an engine bug.
     Lock(LockError),
@@ -27,6 +29,7 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::InvalidSpec(msg) => write!(f, "invalid workload spec: {msg}"),
+            CoreError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             CoreError::Lock(e) => write!(f, "lock manager rejection: {e}"),
             CoreError::RestartBudgetExhausted {
                 family_index,

@@ -57,20 +57,6 @@ impl ObjectPlacement {
     }
 }
 
-/// The pages pushed at a commit under RC: `(destination, pages)` pairs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PushPlan {
-    /// Each destination site and the pages pushed to it.
-    pub destinations: Vec<(NodeId, Vec<PageIndex>)>,
-}
-
-impl PushPlan {
-    /// True when nothing is pushed.
-    pub fn is_empty(&self) -> bool {
-        self.destinations.is_empty()
-    }
-}
-
 /// One protocol's evolving view of page placement.
 #[derive(Debug, Clone)]
 pub struct PlacementModel {
@@ -156,7 +142,9 @@ impl PlacementModel {
     pub fn on_grant(&mut self, node: NodeId, object: ObjectId, prefetch: &PageSet) -> TransferPlan {
         let kind = self.kind_of(object);
         let plan = plan_transfer(kind, &*self, node, object, prefetch);
-        self.apply_fetch(node, object, &plan);
+        for (_, pages) in plan.sources() {
+            self.install(node, object, pages);
+        }
         // Under COTEC/OTEC the acquirer also demand-zeroes any never-written
         // pages, making it a complete current copy; record its cached
         // versions for every page.
@@ -168,7 +156,7 @@ impl PlacementModel {
             }
             ProtocolKind::Lotec => {
                 // Only fetched pages (plus demand-zeroed v0 pages within the
-                // prefetch set) become current; apply_fetch already recorded
+                // prefetch set) become current; `install` already recorded
                 // the fetched ones. Materialize demand-zero copies for
                 // prefetched v0 pages the node lacks.
                 let np = o.global.len();
@@ -189,51 +177,29 @@ impl PlacementModel {
         plan
     }
 
-    /// Demand fetch of a single page at `node` (LOTEC misprediction path).
-    /// Returns the source node, or `None` if no transfer is needed (local
-    /// copy already current or page demand-zeroable).
-    pub fn demand_fetch(
-        &mut self,
-        node: NodeId,
-        object: ObjectId,
-        page: PageIndex,
-    ) -> Option<NodeId> {
-        let idx = page.get() as usize;
-        let global = self.global_version(object, page);
-        let local = self
-            .local_version(node, object, page)
-            .unwrap_or(Version::INITIAL);
-        if !global.is_newer_than(local) {
-            return None;
-        }
-        let source = self.page_owner(object, page);
-        debug_assert_ne!(source, node, "owner cannot be stale at itself");
-        let o = self.obj_mut(object);
-        let np = o.global.len();
-        o.local.entry(node).or_insert_with(|| vec![None; np])[idx] = Some(global);
-        Some(source)
-    }
-
-    fn apply_fetch(&mut self, node: NodeId, object: ObjectId, plan: &TransferPlan) {
-        let pages: Vec<PageIndex> = plan
-            .sources()
-            .flat_map(|(_, pages)| pages.iter().copied())
-            .collect();
-        let o = self.obj_mut(object);
-        let np = o.global.len();
-        let globals = o.global.clone();
-        let entry = o.local.entry(node).or_insert_with(|| vec![None; np]);
+    /// Installs the current version of `pages` of `object` at `node` — a
+    /// gather's or a demand fetch's effect on placement.
+    pub(crate) fn install(&mut self, node: NodeId, object: ObjectId, pages: &[PageIndex]) {
+        let ObjectPlacement { global, local, .. } = self.obj_mut(object);
+        let entry = local
+            .entry(node)
+            .or_insert_with(|| vec![None; global.len()]);
         for page in pages {
             let idx = page.get() as usize;
-            entry[idx] = Some(globals[idx]);
+            entry[idx] = Some(global[idx]);
         }
     }
 
     /// Advances the model over a root commit: `node` committed updates to
     /// `dirty` pages of `object`. Bumps global versions and ownership;
-    /// under RC also computes the eager pushes to every other caching
-    /// site and applies them.
-    pub fn on_commit(&mut self, node: NodeId, object: ObjectId, dirty: &[PageIndex]) -> PushPlan {
+    /// under RC also applies the eager pushes to every other caching site
+    /// and returns those sites, in node order.
+    pub fn on_commit(
+        &mut self,
+        node: NodeId,
+        object: ObjectId,
+        dirty: &[PageIndex],
+    ) -> Vec<NodeId> {
         let kind = self.kind_of(object);
         let o = self.obj_mut(object);
         debug_assert!(o.caching.contains(&node), "committer must cache the object");
@@ -252,22 +218,14 @@ impl PlacementModel {
         // families commit in arbitrary order and updating here would
         // diverge from the grant-ordered view the engine maintains.
 
-        let mut push = PushPlan::default();
-        if kind.pushes_on_commit() && !dirty.is_empty() {
-            let sites: Vec<NodeId> = o.caching.iter().copied().filter(|&s| s != node).collect();
-            let globals = o.global.clone();
-            for site in sites {
-                let entry = o.local.entry(site).or_insert_with(|| vec![None; np]);
-                let mut pushed = Vec::with_capacity(dirty.len());
-                for &page in dirty {
-                    let idx = page.get() as usize;
-                    entry[idx] = Some(globals[idx]);
-                    pushed.push(page);
-                }
-                push.destinations.push((site, pushed));
-            }
+        if !kind.pushes_on_commit() || dirty.is_empty() {
+            return Vec::new();
         }
-        push
+        let sites: Vec<NodeId> = o.caching.iter().copied().filter(|&s| s != node).collect();
+        for &site in &sites {
+            self.install(site, object, dirty);
+        }
+        sites
     }
 
     /// Checks internal coherence: owners hold what the map claims; local
@@ -338,6 +296,7 @@ impl PlacementView for PlacementModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::demand_batches;
     use lotec_object::{ClassBuilder, ClassId};
 
     fn n(i: u32) -> NodeId {
@@ -446,7 +405,7 @@ mod tests {
         m.on_grant(n(2), obj(), &all());
         let push = m.on_commit(n(2), obj(), &pages(&[1]));
         // Caching sites: home N0, N1, N2 -> pushes to N0 and N1.
-        assert_eq!(push.destinations.len(), 2);
+        assert_eq!(push, vec![n(0), n(1)]);
         // After the push, N1 acquiring again needs nothing.
         let plan = m.on_grant(n(1), obj(), &all());
         assert!(plan.is_empty(), "RC keeps caching sites current");
@@ -458,14 +417,15 @@ mod tests {
         let mut m = PlacementModel::new(ProtocolKind::Lotec, &registry());
         m.on_grant(n(1), obj(), &all());
         m.on_commit(n(1), obj(), &pages(&[3]));
-        // N2 acquires predicting nothing, then touches p3 -> demand fetch.
+        // N2 acquires predicting nothing, then touches p2 and p3: p3 is
+        // stale, never-written p2 is demand-zeroed.
         m.on_grant(n(2), obj(), &PageSet::new());
-        let src = m.demand_fetch(n(2), obj(), PageIndex::new(3));
-        assert_eq!(src, Some(n(1)));
+        let touched: PageSet = pages(&[2, 3]).into_iter().collect();
+        let batches = demand_batches(&m, n(2), obj(), &touched, false);
+        assert_eq!(batches, vec![(n(1), pages(&[3]))]);
+        m.install(n(2), obj(), &batches[0].1);
         // Second touch: now current, no fetch.
-        assert_eq!(m.demand_fetch(n(2), obj(), PageIndex::new(3)), None);
-        // Never-written page: demand-zeroed, no fetch.
-        assert_eq!(m.demand_fetch(n(2), obj(), PageIndex::new(2)), None);
+        assert!(demand_batches(&m, n(2), obj(), &touched, false).is_empty());
         m.check_coherence().unwrap();
     }
 

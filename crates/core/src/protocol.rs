@@ -7,7 +7,8 @@
 //! [`PlacementView`], so the discrete-event engine (live `PageStore`s +
 //! GDO page maps) and the figure-replay path (abstract
 //! [`PlacementModel`](crate::placement::PlacementModel)) share one
-//! implementation and can never drift apart.
+//! implementation of which pages move — [`plan_transfer`] for the gather,
+//! `demand_batches` for its repair — and can never drift apart.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -202,6 +203,33 @@ pub fn plan_transfer(
     plan
 }
 
+/// The demand fetches that repair an acquisition after its gather: the
+/// pages of `touched` still stale at `node`, as `(source, pages)` batches
+/// that each cost one request/transfer pair. Serial repair fetches one
+/// batch per stale page, in page order; `coalesce` (adaptive mode) batches
+/// them per source, in first-seen order.
+pub(crate) fn demand_batches(
+    view: &dyn PlacementView,
+    node: NodeId,
+    object: ObjectId,
+    touched: &PageSet,
+    coalesce: bool,
+) -> Vec<(NodeId, Vec<PageIndex>)> {
+    let mut batches: Vec<(NodeId, Vec<PageIndex>)> = Vec::new();
+    for page in touched.iter() {
+        if !is_stale(view, node, object, page) {
+            continue;
+        }
+        let source = view.page_owner(object, page);
+        debug_assert_ne!(source, node, "owner cannot be stale at itself");
+        match batches.iter_mut().find(|(s, _)| coalesce && *s == source) {
+            Some((_, pages)) => pages.push(page),
+            None => batches.push((source, vec![page])),
+        }
+    }
+    batches
+}
+
 /// Staleness test shared by OTEC/LOTEC/RC: the acquirer needs the page iff
 /// the newest committed version is newer than its local copy; a missing
 /// local copy counts as version 0 (demand-zeroable).
@@ -369,6 +397,18 @@ mod tests {
         let predicted: PageSet = [PageIndex::new(9)].into_iter().collect();
         let plan = plan_transfer(ProtocolKind::Lotec, &v, n(0), obj(), &predicted);
         assert!(plan.is_empty());
+    }
+
+    #[test]
+    fn demand_batches_serial_per_page_or_coalesced_per_source() {
+        let mut v = scattered();
+        v.owners[2] = n(2); // p1 and p2 both stale, both owned by N2
+        let touched = all_pages(4);
+        let serial = demand_batches(&v, n(0), obj(), &touched, false);
+        let p = PageIndex::new;
+        assert_eq!(serial, vec![(n(2), vec![p(1)]), (n(2), vec![p(2)])]);
+        let coalesced = demand_batches(&v, n(0), obj(), &touched, true);
+        assert_eq!(coalesced, vec![(n(2), vec![p(1), p(2)])]);
     }
 
     #[test]

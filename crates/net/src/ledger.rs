@@ -60,7 +60,11 @@ impl ObjectTraffic {
 /// let t = ledger.total().message_time(NetworkConfig::default_cluster());
 /// assert!(t.as_nanos() > 0);
 /// ```
-#[derive(Debug, Clone, Default)]
+///
+/// Two ledgers are equal when every (object, message kind) cell is: rows
+/// only ever grow to cover an object that was charged, so equal traffic
+/// means equal rows.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficLedger {
     /// Dense per-object rows, indexed by object id and grown on demand;
     /// each row splits the object's traffic by message kind. Objects are

@@ -96,8 +96,12 @@ impl MessageSizes {
     /// each carrying only the page's occupied object bytes (the DSD mode
     /// of paper §4.2 — "only updates to the objects (not the entire pages
     /// they are stored on) really need to be transmitted").
-    pub fn data_transfer(&self, occupied: &[u64]) -> u64 {
-        self.header + occupied.iter().map(|&b| self.page_header + b).sum::<u64>()
+    pub fn data_transfer(&self, occupied: impl IntoIterator<Item = u64>) -> u64 {
+        self.header
+            + occupied
+                .into_iter()
+                .map(|b| self.page_header + b)
+                .sum::<u64>()
     }
 }
 

@@ -103,39 +103,38 @@ impl FaultPlan {
 
     /// Validates plan sanity against a cluster size.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any probability is outside `[0, 1)` for drops (a drop
-    /// probability of 1 would retransmit forever) or `[0, 1]` for the
-    /// rest, if `rto` is zero while drops or crashes are enabled, or if a
-    /// crash window is empty or names a node outside `0..num_nodes`.
-    pub fn validate(&self, num_nodes: u32) {
-        assert!(
-            (0.0..1.0).contains(&self.drop_prob),
-            "drop_prob must be in [0, 1): 1.0 would retransmit forever"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.duplicate_prob),
-            "duplicate_prob must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.delay_prob),
-            "delay_prob must be a probability"
-        );
-        if self.drop_prob > 0.0 || !self.crashes.is_empty() {
-            assert!(
-                self.rto > SimDuration::ZERO,
-                "rto must be positive when drops or crashes are enabled"
-            );
+    /// Describes the first problem found: a probability outside `[0, 1)`
+    /// for drops (a drop probability of 1 would retransmit forever) or
+    /// `[0, 1]` for the rest, a zero `rto` while drops or crashes are
+    /// enabled, or a crash window that is empty or names a node outside
+    /// `0..num_nodes`.
+    pub fn validate(&self, num_nodes: u32) -> Result<(), String> {
+        if !(0.0..1.0).contains(&self.drop_prob) {
+            return Err("drop_prob must be in [0, 1): 1.0 would retransmit forever".into());
+        }
+        if !(0.0..=1.0).contains(&self.duplicate_prob) {
+            return Err("duplicate_prob must be a probability".into());
+        }
+        if !(0.0..=1.0).contains(&self.delay_prob) {
+            return Err("delay_prob must be a probability".into());
+        }
+        if (self.drop_prob > 0.0 || !self.crashes.is_empty()) && self.rto == SimDuration::ZERO {
+            return Err("rto must be positive when drops or crashes are enabled".into());
         }
         for w in &self.crashes {
-            assert!(w.until > w.at, "empty crash window for node {}", w.node);
-            assert!(
-                w.node.index() < num_nodes,
-                "crash window names node {} outside 0..{num_nodes}",
-                w.node
-            );
+            if w.until <= w.at {
+                return Err(format!("empty crash window for node {}", w.node));
+            }
+            if w.node.index() >= num_nodes {
+                return Err(format!(
+                    "crash window names node {} outside 0..{num_nodes}",
+                    w.node
+                ));
+            }
         }
+        Ok(())
     }
 }
 
@@ -151,7 +150,7 @@ mod tests {
     fn default_plan_is_disabled_and_valid() {
         let plan = FaultPlan::default();
         assert!(!plan.enabled());
-        plan.validate(4);
+        assert_eq!(plan.validate(4), Ok(()));
         assert!(!plan.is_down(n(0), SimTime::ZERO));
         assert_eq!(plan.up_at(n(0), SimTime::from_micros(7)).as_nanos(), 7_000);
     }
@@ -173,7 +172,7 @@ mod tests {
             },
         ] {
             assert!(plan.enabled());
-            plan.validate(4);
+            assert_eq!(plan.validate(4), Ok(()));
         }
     }
 
@@ -188,7 +187,7 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(plan.enabled());
-        plan.validate(4);
+        assert_eq!(plan.validate(4), Ok(()));
         assert!(!plan.is_down(n(2), SimTime::from_micros(9)));
         assert!(plan.is_down(n(2), SimTime::from_micros(10)));
         assert!(plan.is_down(n(2), SimTime::from_micros(19)));
@@ -231,52 +230,53 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "retransmit forever")]
-    fn certain_drop_rejected() {
-        FaultPlan {
-            drop_prob: 1.0,
-            ..FaultPlan::default()
-        }
-        .validate(4);
+    /// The error message of `plan`'s validation against 4 nodes.
+    fn rejection(plan: FaultPlan) -> String {
+        plan.validate(4).expect_err("plan must be rejected")
     }
 
     #[test]
-    #[should_panic(expected = "empty crash window")]
+    fn certain_drop_rejected() {
+        let err = rejection(FaultPlan {
+            drop_prob: 1.0,
+            ..FaultPlan::default()
+        });
+        assert!(err.contains("retransmit forever"), "{err}");
+    }
+
+    #[test]
     fn empty_window_rejected() {
-        FaultPlan {
+        let err = rejection(FaultPlan {
             crashes: vec![CrashWindow {
                 node: n(0),
                 at: SimTime::from_micros(5),
                 until: SimTime::from_micros(5),
             }],
             ..FaultPlan::default()
-        }
-        .validate(4);
+        });
+        assert!(err.contains("empty crash window"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "outside")]
     fn out_of_range_node_rejected() {
-        FaultPlan {
+        let err = rejection(FaultPlan {
             crashes: vec![CrashWindow {
                 node: n(9),
                 at: SimTime::ZERO,
                 until: SimTime::from_micros(1),
             }],
             ..FaultPlan::default()
-        }
-        .validate(4);
+        });
+        assert!(err.contains("outside"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "rto must be positive")]
     fn zero_rto_with_drops_rejected() {
-        FaultPlan {
+        let err = rejection(FaultPlan {
             drop_prob: 0.2,
             rto: SimDuration::ZERO,
             ..FaultPlan::default()
-        }
-        .validate(4);
+        });
+        assert!(err.contains("rto must be positive"), "{err}");
     }
 }

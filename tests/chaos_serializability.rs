@@ -259,8 +259,8 @@ fn chaos_adaptive_lotec() {
 
 /// Differential guard on the zero-cost-off property: with the fault
 /// machinery compiled in but disabled, the live engine and the
-/// figure-replay path still produce identical per-protocol transfer
-/// totals — byte for byte, object for object.
+/// figure-replay path still produce identical per-protocol ledgers — byte
+/// for byte, in every (object, message kind) cell.
 #[test]
 fn fault_free_engine_matches_figure_replay_per_protocol() {
     for protocol in ProtocolKind::ALL {
@@ -271,18 +271,10 @@ fn fault_free_engine_matches_figure_replay_per_protocol() {
             let replayed =
                 lotec_core::replay::replay_trace(protocol, &report.trace, &registry, &config);
             assert_eq!(
-                report.traffic.total(),
-                replayed.total(),
+                report.traffic.ledger(),
+                replayed.ledger(),
                 "{protocol}/seed {seed}: live engine diverged from figure replay"
             );
-            for inst in registry.objects() {
-                assert_eq!(
-                    report.traffic.object(inst.id),
-                    replayed.object(inst.id),
-                    "{protocol}/seed {seed}/{}: per-object totals diverged",
-                    inst.id
-                );
-            }
         }
     }
 }

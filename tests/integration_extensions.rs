@@ -42,14 +42,37 @@ fn all_extensions_stay_deterministic() {
     assert_eq!(a.final_chains, b.final_chains);
 }
 
+/// A LOTEC run whose predictions miss a quarter of the time: engine and
+/// replay must drop the same pages (one miss stream) and repair them with
+/// the same demand fetches.
+fn lotec_missing_predictions(scenario: &lotec::workload::Scenario) -> Cfg {
+    Cfg {
+        prediction_miss_rate: 0.25,
+        ..scenario.system_config()
+    }
+    .with_protocol(ProtocolKind::Lotec)
+}
+
 #[test]
 fn all_extensions_match_replay_accounting() {
-    let scenario = lotec::workload::presets::quick(lotec::workload::presets::fig2());
-    let (registry, families) = scenario.generate().expect("generates");
-    let config = everything_enabled(&scenario);
-    let report = run_engine(&config, &registry, &families).expect("runs");
-    let replayed = lotec_core::replay::replay_run(&report.trace, &registry, &config);
-    assert_eq!(report.traffic.total(), replayed.total());
+    use lotec::workload::presets;
+    let fig2 = presets::quick(presets::fig2());
+    let fig3 = presets::quick(presets::fig3());
+    let rows = [
+        (everything_enabled(&fig2), fig2),
+        (lotec_missing_predictions(&fig3), fig3),
+    ];
+    for (config, scenario) in rows {
+        let (registry, families) = scenario.generate().expect("generates");
+        let report = run_engine(&config, &registry, &families).expect("runs");
+        let replayed = lotec_core::replay::replay_run(&report.trace, &registry, &config);
+        assert_eq!(
+            report.traffic.ledger(),
+            replayed.ledger(),
+            "{}: engine and replay ledgers diverged",
+            scenario.name
+        );
+    }
 }
 
 #[test]

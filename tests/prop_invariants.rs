@@ -183,7 +183,7 @@ fn engine_matches_replay_universal() {
         let report = run_engine(&config, &registry, &families).expect("engine runs");
         let replayed =
             lotec_core::replay::replay_trace(protocol, &report.trace, &registry, &config);
-        assert_eq!(report.traffic.total(), replayed.total());
+        assert_eq!(report.traffic.ledger(), replayed.ledger());
     });
 }
 
@@ -347,5 +347,93 @@ fn deadlock_detector_victim_iff_cycle() {
     assert!(
         acyclic_cases > 10,
         "too few acyclic samples: {acyclic_cases}"
+    );
+}
+
+/// Invalid system configs come back from the engine as
+/// `CoreError::InvalidConfig` — never a panic — and valid ones run
+/// oracle-clean. Each case perturbs one knob of a valid config, with a
+/// random value drawn from the knob's invalid or valid range; every knob is
+/// tried both ways.
+#[test]
+fn random_configs_are_rejected_or_run_clean() {
+    use lotec::sim::CrashWindow;
+    use lotec_core::config::{AdaptiveConfig, GdoPlacement};
+    use lotec_core::CoreError;
+
+    const KNOBS: u64 = 9;
+    let mut rng = SimRng::seed_from_u64(0xC0_4F16);
+    let (mut rejected, mut ran) = (0, 0);
+    for case in 0..4 * KNOBS {
+        let w = random_workload(&mut rng);
+        let Ok((registry, families)) = lotec::workload::gen::generate(&w) else {
+            continue;
+        };
+        let protocol = ProtocolKind::ALL[rng.next_below(4) as usize];
+        let mut config = system_for(&w, protocol);
+        let n = config.num_nodes;
+        let invalid = case < 2 * KNOBS;
+        // A probability past either end of [0, 1] when invalid.
+        let probability = |rng: &mut SimRng, valid_max: f64| match (invalid, rng.chance(0.5)) {
+            (true, true) => 1.0 + f64::EPSILON + rng.f64(),
+            (true, false) => -f64::EPSILON - rng.f64(),
+            (false, _) => rng.f64() * valid_max,
+        };
+        match case % KNOBS {
+            0 => config.num_nodes = if invalid { 0 } else { n },
+            1 if invalid => config.page_size = rng.next_below(8) as u32,
+            1 => {} // the workload's own page size
+            2 => config.prediction_miss_rate = probability(&mut rng, 0.5),
+            3 => config.faults.plan.drop_prob = probability(&mut rng, 0.2),
+            4 => config.faults.plan.duplicate_prob = probability(&mut rng, 0.2),
+            5 => {
+                config.gdo_replication = match (invalid, rng.chance(0.5)) {
+                    (true, true) => 0,
+                    (true, false) => n + 1 + rng.next_below(3) as u32,
+                    (false, _) => 1 + rng.next_below(u64::from(n)) as u32,
+                }
+            }
+            6 => {
+                let offset = if invalid { n } else { 0 };
+                let node = offset + rng.next_below(u64::from(n)) as u32;
+                config.gdo_placement = GdoPlacement::Central(NodeId::new(node));
+            }
+            7 if invalid => {
+                if rng.chance(0.5) {
+                    config.adaptive = AdaptiveConfig {
+                        enabled: true,
+                        window: 0,
+                    };
+                } else {
+                    config.flight_recorder.slots = 0;
+                }
+            }
+            7 => config.adaptive = AdaptiveConfig::on(),
+            _ => {
+                let offset = if invalid { n } else { 0 };
+                let at = SimTime::from_micros(rng.next_below(300));
+                config.faults.plan.crashes = vec![CrashWindow {
+                    node: NodeId::new(offset + rng.next_below(u64::from(n)) as u32),
+                    at,
+                    until: at + SimDuration::from_micros(50 + rng.next_below(100)),
+                }];
+            }
+        }
+        match run_engine(&config, &registry, &families) {
+            Err(CoreError::InvalidConfig(msg)) => {
+                assert!(invalid, "case {case}: valid config rejected: {msg}");
+                rejected += 1;
+            }
+            Ok(report) => {
+                assert!(!invalid, "case {case}: invalid config ran: {config:?}");
+                oracle::verify(&report).unwrap_or_else(|e| panic!("case {case}: {e}"));
+                ran += 1;
+            }
+            Err(e) => panic!("case {case}: {e}"),
+        }
+    }
+    assert!(
+        rejected >= KNOBS && ran >= KNOBS,
+        "{rejected} rejected, {ran} ran"
     );
 }
