@@ -6,7 +6,7 @@
 //! [`TrafficLedger`] accumulates exactly those quantities, per object and
 //! per message kind.
 
-use lotec_mem::ObjectId;
+use lotec_mem::{ObjectId, TouchedSlots};
 use lotec_sim::SimDuration;
 
 use crate::config::NetworkConfig;
@@ -61,19 +61,31 @@ impl ObjectTraffic {
 /// assert!(t.as_nanos() > 0);
 /// ```
 ///
-/// Two ledgers are equal when every (object, message kind) cell is: rows
-/// only ever grow to cover an object that was charged, so equal traffic
-/// means equal rows.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Two ledgers are equal when their totals and every (object, message
+/// kind) cell are, whatever order the objects were first charged in.
+#[derive(Debug, Clone, Default)]
 pub struct TrafficLedger {
-    /// Dense per-object rows, indexed by object id and grown on demand;
-    /// each row splits the object's traffic by message kind. Objects are
-    /// numbered densely by the registry, so a flat table turns the three
-    /// map lookups every recorded message used to pay into array indexing.
-    rows: Vec<[ObjectTraffic; NUM_KINDS]>,
+    /// One row per charged object, splitting its traffic by message kind
+    /// (§4j: uncharged ids cost neither rows nor resident memory). The
+    /// object-id index widens on demand to the next power of two.
+    rows: TouchedSlots<[ObjectTraffic; NUM_KINDS]>,
     per_kind: [ObjectTraffic; NUM_KINDS],
     total: ObjectTraffic,
 }
+
+impl PartialEq for TrafficLedger {
+    fn eq(&self, other: &Self) -> bool {
+        self.total == other.total
+            && self.per_kind == other.per_kind
+            && self.rows.len() == other.rows.len()
+            && self
+                .rows
+                .iter()
+                .all(|(slot, row)| other.rows.get(slot) == Some(row))
+    }
+}
+
+impl Eq for TrafficLedger {}
 
 /// Number of [`MessageKind`] variants (rows are fixed-size arrays).
 const NUM_KINDS: usize = MessageKind::ALL.len();
@@ -81,6 +93,14 @@ const NUM_KINDS: usize = MessageKind::ALL.len();
 /// Index of `kind` within [`MessageKind::ALL`] (declaration order).
 const fn kind_index(kind: MessageKind) -> usize {
     kind as usize
+}
+
+/// An object's traffic summed over every message kind.
+fn row_sum(row: &[ObjectTraffic; NUM_KINDS]) -> ObjectTraffic {
+    ObjectTraffic {
+        messages: row.iter().map(|t| t.messages).sum(),
+        bytes: row.iter().map(|t| t.bytes).sum(),
+    }
 }
 
 impl TrafficLedger {
@@ -105,12 +125,13 @@ impl TrafficLedger {
             bytes: msg.bytes(),
         };
         let slot = msg.object().index() as usize;
-        if slot >= self.rows.len() {
-            self.rows
-                .resize(slot + 1, [ObjectTraffic::default(); NUM_KINDS]);
+        if !self.rows.contains(slot) {
+            self.rows.grow((slot + 1).next_power_of_two());
         }
         let kind = kind_index(msg.kind());
-        self.rows[slot][kind].merge(delta);
+        self.rows
+            .get_or_insert_with(slot, || [ObjectTraffic::default(); NUM_KINDS])[kind]
+            .merge(delta);
         self.per_kind[kind].merge(delta);
         self.total.merge(delta);
     }
@@ -151,13 +172,7 @@ impl TrafficLedger {
     pub fn object(&self, object: ObjectId) -> ObjectTraffic {
         self.rows
             .get(object.index() as usize)
-            .map(|row| {
-                let mut sum = ObjectTraffic::default();
-                for t in row {
-                    sum.merge(*t);
-                }
-                sum
-            })
+            .map(row_sum)
             .unwrap_or_default()
     }
 
@@ -171,33 +186,18 @@ impl TrafficLedger {
         self.total
     }
 
-    /// Iterator over `(object, traffic)` in object order, skipping
-    /// objects that never appeared.
-    pub fn objects(&self) -> impl Iterator<Item = (ObjectId, ObjectTraffic)> + '_ {
-        self.rows.iter().enumerate().filter_map(|(slot, row)| {
-            let mut sum = ObjectTraffic::default();
-            for t in row {
-                sum.merge(*t);
-            }
-            (sum.messages > 0).then(|| (ObjectId::new(slot as u32), sum))
-        })
+    /// Number of rows held: one per object charged at least one message.
+    pub fn rows(&self) -> usize {
+        self.rows.len()
     }
 
-    /// Merges another ledger into this one.
-    pub fn merge(&mut self, other: &TrafficLedger) {
-        if other.rows.len() > self.rows.len() {
-            self.rows
-                .resize(other.rows.len(), [ObjectTraffic::default(); NUM_KINDS]);
-        }
-        for (mine, theirs) in self.rows.iter_mut().zip(&other.rows) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                a.merge(*b);
-            }
-        }
-        for (a, b) in self.per_kind.iter_mut().zip(&other.per_kind) {
-            a.merge(*b);
-        }
-        self.total.merge(other.total);
+    /// Iterator over `(object, traffic)` in ascending object id, skipping
+    /// objects that never appeared.
+    pub fn objects(&self) -> impl Iterator<Item = (ObjectId, ObjectTraffic)> + '_ {
+        self.rows.sorted_keys().into_iter().map(|slot| {
+            let row = self.rows.get(slot).expect("sorted keys are touched");
+            (ObjectId::new(slot as u32), row_sum(row))
+        })
     }
 }
 
@@ -205,7 +205,8 @@ impl TrafficLedger {
 mod tests {
     use super::*;
     use crate::config::{Bandwidth, SoftwareCost};
-    use lotec_sim::NodeId;
+    use lotec_sim::{NodeId, SimRng};
+    use std::collections::BTreeMap;
 
     fn msg(kind: MessageKind, obj: u32, bytes: u64) -> Message {
         Message::new(
@@ -291,22 +292,136 @@ mod tests {
         assert!(many_small.message_time(fast_stack) < few_large.message_time(fast_stack));
     }
 
+    /// A seeded message stream: a few hot ids plus ids spread over
+    /// `0..1_000_000`, every kind, and endpoints drawn from four nodes (so
+    /// about a quarter of the messages are node-local).
+    fn message_stream(seed: u64, len: usize) -> Vec<Message> {
+        let mut rng = SimRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| {
+                let object = if rng.chance(0.5) {
+                    rng.next_below(16)
+                } else {
+                    rng.next_below(1_000_000)
+                };
+                Message::new(
+                    *rng.pick(&MessageKind::ALL),
+                    NodeId::new(rng.next_below(4) as u32),
+                    NodeId::new(rng.next_below(4) as u32),
+                    ObjectId::new(object as u32),
+                    rng.range_inclusive(8, 5_000),
+                )
+            })
+            .collect()
+    }
+
+    fn ledger_of(messages: &[Message]) -> TrafficLedger {
+        let mut ledger = TrafficLedger::new();
+        for m in messages.iter().filter(|m| !m.is_local()) {
+            ledger.record(m);
+        }
+        ledger
+    }
+
     #[test]
-    fn merge_combines_ledgers() {
-        let mut a = TrafficLedger::new();
-        let mut b = TrafficLedger::new();
-        a.record(&msg(MessageKind::LockGrant, 0, 100));
-        b.record(&msg(MessageKind::LockGrant, 0, 50));
-        b.record(&msg(MessageKind::UpdatePush, 2, 500));
-        a.merge(&b);
-        assert_eq!(a.object(ObjectId::new(0)).bytes, 150);
-        assert_eq!(
-            a.total(),
-            ObjectTraffic {
-                messages: 3,
-                bytes: 650
+    fn sparse_ledger_matches_a_map_reference() {
+        let nets = [
+            NetworkConfig::default_cluster(),
+            NetworkConfig::new(Bandwidth::ethernet10(), SoftwareCost::MICROS_100)
+                .with_active_messages(SoftwareCost::MICROS_5),
+        ];
+        for seed in 0..4 {
+            let messages = message_stream(seed, 3_000);
+            assert!(messages.iter().any(Message::is_local));
+            let ledger = ledger_of(&messages);
+
+            let mut cells: BTreeMap<(ObjectId, MessageKind), ObjectTraffic> = BTreeMap::new();
+            for m in messages.iter().filter(|m| !m.is_local()) {
+                cells
+                    .entry((m.object(), m.kind()))
+                    .or_default()
+                    .merge(ObjectTraffic {
+                        messages: 1,
+                        bytes: m.bytes(),
+                    });
             }
+            let mut per_object: BTreeMap<ObjectId, ObjectTraffic> = BTreeMap::new();
+            let mut per_kind: BTreeMap<MessageKind, ObjectTraffic> = BTreeMap::new();
+            let mut total = ObjectTraffic::default();
+            for (&(object, kind), &t) in &cells {
+                per_object.entry(object).or_default().merge(t);
+                per_kind.entry(kind).or_default().merge(t);
+                total.merge(t);
+            }
+
+            assert_eq!(ledger.total(), total);
+            assert_eq!(ledger.rows(), per_object.len());
+            assert!(per_object.keys().any(|o| o.index() > 900_000));
+            let listed: Vec<_> = ledger.objects().collect();
+            let expected: Vec<_> = per_object.iter().map(|(&o, &t)| (o, t)).collect();
+            assert_eq!(listed, expected, "objects() in ascending id order");
+            for kind in MessageKind::ALL {
+                let want = per_kind.get(&kind).copied().unwrap_or_default();
+                assert_eq!(ledger.kind(kind), want, "{kind:?}");
+            }
+            // Charged ids, their neighbours and ids past the index.
+            let probes = per_object
+                .keys()
+                .flat_map(|o| [o.index(), o.index() + 1])
+                .chain([1_000_000, 2_000_000, u32::MAX]);
+            for id in probes {
+                let object = ObjectId::new(id);
+                let want = per_object.get(&object).copied().unwrap_or_default();
+                assert_eq!(ledger.object(object), want, "object {id}");
+                for net in nets {
+                    let mut time = SimDuration::ZERO;
+                    for kind in MessageKind::ALL {
+                        let t = cells.get(&(object, kind)).copied().unwrap_or_default();
+                        assert_eq!(ledger.object_kind(object, kind), t);
+                        time += net.startup_for(kind).duration() * t.messages
+                            + net.bandwidth().wire_time(t.bytes);
+                    }
+                    assert_eq!(ledger.object_time(object, net), time, "object {id}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equality_ignores_charge_order_but_not_cells() {
+        let mut rng = SimRng::seed_from_u64(42);
+        let mut messages = message_stream(7, 2_000);
+        let ledger = ledger_of(&messages);
+        for _ in 0..3 {
+            rng.shuffle(&mut messages);
+            assert_eq!(ledger_of(&messages), ledger);
+        }
+
+        // One extra message: one cell (and the totals) differ.
+        let remote = *messages.iter().find(|m| !m.is_local()).unwrap();
+        let mut extra = ledger.clone();
+        extra.record(&remote);
+        assert_ne!(extra, ledger);
+
+        // The same message charged to an uncharged object instead: totals
+        // and per-kind sums agree, two cells differ.
+        let mut moved = messages.clone();
+        let at = moved.iter().position(|m| !m.is_local()).unwrap();
+        let m = moved[at];
+        let uncharged = (0..).find(|&id| ledger.object(ObjectId::new(id)).messages == 0);
+        moved[at] = Message::new(
+            m.kind(),
+            m.src(),
+            m.dst(),
+            ObjectId::new(uncharged.unwrap()),
+            m.bytes(),
         );
+        let moved = ledger_of(&moved);
+        assert_eq!(moved.total(), ledger.total());
+        for kind in MessageKind::ALL {
+            assert_eq!(moved.kind(kind), ledger.kind(kind));
+        }
+        assert_ne!(moved, ledger);
     }
 
     #[test]

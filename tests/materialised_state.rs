@@ -1,12 +1,14 @@
 //! Deterministic work counters for per-run state: an engine run and its
 //! replay build per-object state only for the objects the families touch,
-//! however large the registry is.
+//! however large the registry is, and ledger rows only for the objects
+//! their messages are charged to.
 
 use std::collections::BTreeSet;
 
 use lotec::prelude::*;
 use lotec_core::placement::PlacementModel;
 use lotec_core::replay::replay_model;
+use lotec_net::MessageKind;
 
 const OBJECTS: u32 = 120_000;
 const NODES: u32 = 4;
@@ -27,8 +29,13 @@ fn big_registry(page_size: u32) -> ObjectRegistry {
 
 /// A leaf family on `object`, run at the object's home node.
 fn family(start_us: u64, object: u32, method: u32) -> FamilySpec {
+    away_family(start_us, object, method, 0)
+}
+
+/// A leaf family on `object`, run `hops` nodes away from its home.
+fn away_family(start_us: u64, object: u32, method: u32, hops: u32) -> FamilySpec {
     FamilySpec {
-        node: NodeId::new(object % NODES),
+        node: NodeId::new((object + hops) % NODES),
         start: SimTime::from_micros(start_us),
         root: InvocationSpec::leaf(ObjectId::new(object), MethodId::new(method), PathId::new(0)),
     }
@@ -50,24 +57,43 @@ fn per_run_state_counts_equal_the_touched_objects() {
         family(15, 99_998, 0),
         family(20, 119_999, 0),
         family(25, 54_321, 0),
+        away_family(30, 119_997, 0, 1),
+        family(35, 119_997, 1),
     ];
-    let touched: BTreeSet<u32> = families.iter().map(|f| f.root.object.index()).collect();
-    let touched = touched.len() as u64;
+    let touched_ids: BTreeSet<u32> = families.iter().map(|f| f.root.object.index()).collect();
+    let touched = touched_ids.len() as u64;
 
     let report = run_engine(&config, &registry, &families).expect("runs");
     assert_eq!(report.stats.committed_families, families.len() as u64);
     oracle::verify(&report).expect("serializable");
 
-    // Every family runs at its object's home, so nothing is transferred:
-    // the stores hold exactly the touched objects' home images.
+    // The stores hold exactly the touched objects' home images, plus the
+    // page `x` the away family's `bump` wrote at its own node (a
+    // never-written page is zero-filled there, not transferred).
     assert_eq!(report.materialised.gdo_entries, touched);
-    assert_eq!(report.materialised.resident_pages, 2 * touched);
+    assert_eq!(report.materialised.resident_pages, 2 * touched + 1);
     // The report still covers every page of every object.
     assert_eq!(report.final_chains.len(), 2 * OBJECTS as usize);
-    assert_eq!(report.final_chains.values().filter(|&&c| c != 0).count(), 4);
+    assert_eq!(report.final_chains.values().filter(|&&c| c != 0).count(), 5);
 
     let mut model = PlacementModel::new(ProtocolKind::Lotec, &registry);
     let traffic = replay_model(&mut model, &report.trace, &registry, &config);
     assert_eq!(model.materialised() as u64, touched);
     assert_eq!(traffic.total(), report.traffic.total());
+    // The ledgers hold one row per charged object, whatever its id: every
+    // touched object's lock traffic crosses to its GDO node, and the home
+    // `peek` after the away `bump` fetches `x` back.
+    let ledger = report.traffic.ledger();
+    let charged: BTreeSet<u32> = ledger.objects().map(|(o, _)| o.index()).collect();
+    assert_eq!(charged, touched_ids);
+    assert!(charged.contains(&119_999));
+    assert_eq!(ledger.rows() as u64, touched);
+    assert_eq!(traffic.ledger().rows() as u64, touched);
+    assert_eq!(
+        ledger
+            .object_kind(ObjectId::new(119_997), MessageKind::PageTransfer)
+            .messages,
+        1
+    );
+    assert_eq!(report.traffic.ledger(), traffic.ledger());
 }
